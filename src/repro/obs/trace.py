@@ -266,7 +266,7 @@ class Tracer:
     def write_chrome_trace(self, path: str) -> None:
         """Serialize :meth:`to_chrome_trace` to ``path`` as JSON."""
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_chrome_trace(), handle)
+            handle.write(json.dumps(self.to_chrome_trace()))
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,10 @@ Endpoints
     unless ``?results=1`` asks for the partial payload.
 ``GET /jobs/<id>/stream``
     Chunked NDJSON: one ``{"index", "response"}`` line per completed
-    request as it lands, then a final ``{"done": true, "status": ...}``
-    line when the job reaches a terminal state.
+    request as it lands, then a final job-summary line when the job
+    reaches a terminal state.  Each result line splices the response's
+    one JSON encoding (``AnalysisResponse.to_json``, shared with the
+    disk cache), which the response then releases.
 ``DELETE /jobs/<id>``
     Cancel: queued jobs immediately, running jobs at the next slice
     boundary.
@@ -138,6 +140,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     """Route HTTP verbs onto the gateway's job manager."""
 
     protocol_version = "HTTP/1.1"   # keep-alive + chunked streaming
+    # TCP_NODELAY on every accepted socket: with Nagle on, a response
+    # written in more than one segment waits out the client's delayed
+    # ACK (tens of ms) before its tail leaves.
+    disable_nagle_algorithm = True
     server: _GatewayServer
 
     # -- plumbing -------------------------------------------------------
@@ -152,8 +158,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body leave in one write (the stdlib's
+        # end_headers() would flush the headers on their own first).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _error(self, code: int, message: str,
                headers: Optional[dict] = None) -> None:
@@ -248,14 +256,17 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send_json(200, job.to_dict())
 
     # -- streaming ------------------------------------------------------
-    def _chunk(self, payload: dict) -> None:
-        data = json.dumps(payload, sort_keys=True).encode() + b"\n"
-        self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+    @staticmethod
+    def _chunk(*parts: bytes) -> bytes:
+        """``parts`` framed as one HTTP chunk, joined in one copy."""
+        size = sum(len(part) for part in parts)
+        return b"".join((b"%x\r\n" % size,) + parts + (b"\r\n",))
 
     def _stream(self, job) -> None:
         """Chunked NDJSON: per-request results as they land, then a
-        terminal summary line.  A client hanging up just ends the
-        stream; the job itself is unaffected."""
+        terminal summary line.  While a result is pending nothing is
+        written; the wait re-polls every 0.5 s.  A client hanging up
+        just ends the stream; the job itself is unaffected."""
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -270,10 +281,17 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                         continue        # job still live: keep waiting
                 if response is None:    # terminal before this result
                     break
-                self._chunk({"index": index, "response": response.to_dict()})
+                # The response's one encoding (shared with the disk
+                # cache) spliced into the line: byte for byte
+                # json.dumps({"index": i, "response": r.to_dict()},
+                # sort_keys=True).  The retained response then drops it.
+                self.wfile.write(self._chunk(
+                    b'{"index": %d, "response": ' % index,
+                    response.to_json().encode(), b"}\n"))
+                response.release_json()
             job.wait()
-            self._chunk(job.to_dict())
-            self.wfile.write(b"0\r\n\r\n")
+            summary = json.dumps(job.to_dict(), sort_keys=True).encode()
+            self.wfile.write(self._chunk(summary, b"\n") + b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             pass
 
@@ -314,6 +332,8 @@ class StabilityGateway:
                  **service_kwargs):
         self.service = service if service is not None \
             else StabilityService(**service_kwargs)
+        # Fresh results keep their JSON text until the stream sends it.
+        self.service.keep_encoding = True
         self.jobs = JobManager(self.service,
                                dispatchers=dispatchers,
                                max_queue_depth=max_queue_depth,

@@ -21,6 +21,7 @@ cache instead of being recomputed.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
 import weakref
@@ -332,6 +333,10 @@ class AnalysisResponse:
     #: ``{"schema": int, "spans": [Span.to_dict(), ...]}``; carried
     #: through JSON but never part of any fingerprint or cache key.
     telemetry: Optional[dict] = None
+    #: Memo of :meth:`to_json`.  ``init=False`` keeps it out of
+    #: ``dataclasses.replace``: a clone with another label encodes anew.
+    _json: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def ok(self) -> bool:
@@ -397,6 +402,24 @@ class AnalysisResponse:
             "created": self.created,
             "telemetry": self.telemetry,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, encoded once.
+
+        The service's disk cache and the gateway's stream share this one
+        encoding of a result (an all-nodes verdict is about 200 KB of
+        JSON).  The memo assumes the response is not mutated after the
+        first call; :meth:`release_json` drops it.
+        """
+        text = self._json
+        if text is None:
+            text = self._json = json.dumps(self.to_dict(), sort_keys=True)
+        return text
+
+    def release_json(self) -> None:
+        """Drop the memoized encoding once its last reader has used it,
+        so a retained response does not also hold its text."""
+        self._json = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisResponse":

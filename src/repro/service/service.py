@@ -131,6 +131,12 @@ class StabilityService:
         (or use the service as a context manager) when done.
     """
 
+    #: Leave each fresh response holding the JSON text its disk-cache
+    #: entry was written from (``AnalysisResponse.to_json``), for a
+    #: front end that sends the text on and then releases it.  The HTTP
+    #: gateway sets it; everyone else drops the text once it is stored.
+    keep_encoding = False
+
     def __init__(self,
                  cache: Optional[ResultCache] = None,
                  engine: Optional[BatchEngine] = None,
@@ -193,7 +199,13 @@ class StabilityService:
 
     def _store(self, response: AnalysisResponse) -> None:
         if response.ok and response.fingerprint:
-            self.cache.put(response.fingerprint, response.to_dict())
+            # Only a disk tier needs the encoding: a memory-only cache
+            # (every in-process screen) never pays for one.
+            text = response.to_json() if self.cache.directory is not None \
+                else None
+            self.cache.put(response.fingerprint, response.to_dict(), text)
+            if not self.keep_encoding:
+                response.release_json()
 
     # -- cache-stampede guard ------------------------------------------
     # Concurrent submissions of the same content-addressed fingerprint

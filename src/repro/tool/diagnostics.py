@@ -101,5 +101,6 @@ class DiagnosticLog:
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, filename)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump([asdict(record) for record in self.records], handle, indent=2)
+            handle.write(json.dumps([asdict(record) for record in self.records],
+                                    indent=2))
         return path
