@@ -5,11 +5,26 @@ system ``(G + j*2*pi*f*C) X = B_ac`` is solved at every frequency of the
 requested sweep.  This is the analysis the stability tool runs after
 attaching an AC current stimulus to the node under test.
 
-Two solver paths exist behind the same interface (see
-``docs/solver-backends.md``): the dense path stacks the per-frequency
-matrices into one batched LAPACK call, the sparse path factorizes
-``G + j*omega*C`` with SuperLU per frequency and reuses each
-factorization for every right-hand-side column at once.
+Three solver paths sit behind one interface (``docs/solver-backends.md``):
+
+* **Reduced sweep** (dense backend, up to :data:`REDUCED_SWEEP_MAX_SIZE`
+  unknowns): each sample's pencil is equilibrated by powers of two and
+  reduced once by a complex QZ, ``D_r (G + sC) D_c = Q (S + sT) Z^H`` —
+  the pencil form of Laub's Hessenberg method — after which every
+  frequency is a back-substitution through the triangular ``S + sT``,
+  vectorized over (sample, frequency, column).  A
+  :class:`~repro.analysis.compiled.BatchLinearization` caches its
+  reduction, so a screen's coarse cube and every refinement window share
+  one QZ per sample; :func:`solve_ac_stacked` is a batch of one.
+* **Dense LU** per frequency, for larger dense systems, where one QZ
+  costs hundreds of factorizations.
+* **Sparse**: SuperLU factorizes ``G + j*omega*C`` per frequency and
+  reuses each factorization for every right-hand-side column.
+
+A failure — a non-finite plane, a singular pencil, a singular frequency —
+fails only its own sample with a typed
+:class:`~repro.exceptions.SingularMatrixError` and increments
+``ac.sweep_failures.<reason>``.
 """
 
 from __future__ import annotations
@@ -17,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
 from repro.analysis.compiled import CompiledCircuit
 from repro.analysis.context import AnalysisContext
@@ -33,107 +49,295 @@ from repro.linalg import (
     matrix_stats,
     resolve_backend,
 )
+from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _span
 
-__all__ = ["ac_analysis", "solve_ac_batch", "solve_ac_stacked",
-           "solve_ac_stacked_batch"]
+__all__ = ["PencilReduction", "ac_analysis", "reduce_pencils",
+           "solve_ac_batch", "solve_ac_stacked", "solve_ac_stacked_batch"]
 
-#: Frequencies per stacked solve.  Bounds the size of the (K, n, n) matrix
-#: stack so wide sweeps of large circuits stay within a few tens of MB.
-_STACK_CHUNK = 128
+#: Dense sweeps of systems up to this many unknowns run the reduced sweep;
+#: larger dense systems take one LU per frequency.  From the crossover
+#: table in ``docs/solver-backends.md``: an all-nodes sweep (one column
+#: per node) is faster reduced at 18 unknowns and no faster at 34.
+REDUCED_SWEEP_MAX_SIZE = 32
+
+#: Work entries ``(n, m, A, F_block)`` of one frequency block of the
+#: reduced sweep (2 MB): the back-substitution then runs in cache, about
+#: 15 % faster per 64-sample screen than one block of every frequency or
+#: blocks of 16 MB, and its memory stays bounded on large systems.
+_SWEEP_BLOCK = 1 << 17
+
+#: Poles above this natural frequency [Hz] are numerically infinite
+#: eigenvalues of the singular part of ``C`` (as in ``pole_analysis``).
+_MAX_POLE_HZ = 1e15
+
+_NON_FINITE_MESSAGE = ("AC system matrices contain non-finite entries "
+                       "(bad operating point or device model)")
+
+
+def _count_failure(reason: str) -> None:
+    global_registry().counter(f"ac.sweep_failures.{reason}").inc()
+
+
+class PencilReduction:
+    """Equilibrated generalized Schur forms of N pencils ``G + sC``.
+
+    Sample ``k`` satisfies ``G_k + s C_k = (QH_k)^-1 (S_k + s T_k) Z_k^-1``
+    with upper-triangular ``S``, ``T``; ``QH = Q^H D_r`` and ``Z = D_c Z``
+    carry the power-of-two scales.  ``failures`` maps samples whose
+    pencil is singular to their error; those, and samples never reduced,
+    hold the identity pencil.
+    """
+
+    __slots__ = ("S", "T", "QH", "Z", "failures")
+
+    def __init__(self, S, T, QH, Z, failures: Dict[int, Exception]):
+        self.S, self.T, self.QH, self.Z = S, T, QH, Z
+        self.failures = failures
+
+    def take(self, samples: Sequence[int]) -> "PencilReduction":
+        """The reductions of ``samples`` only, renumbered ``0..len-1``."""
+        rows = np.asarray(list(samples), dtype=np.intp)
+        failures = {position: self.failures[int(sample)]
+                    for position, sample in enumerate(rows)
+                    if int(sample) in self.failures}
+        return PencilReduction(self.S[rows], self.T[rows], self.QH[rows],
+                               self.Z[rows], failures)
+
+    def poles(self, index: int) -> np.ndarray:
+        """Sample ``index``'s finite poles ``-S_ii / T_ii`` [rad/s]
+        (scaling does not move eigenvalues)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poles = -np.diagonal(self.S[index]) / np.diagonal(self.T[index])
+        return poles[np.isfinite(poles)
+                     & (np.abs(poles) <= 2.0 * np.pi * _MAX_POLE_HZ)]
+
+
+def _power_of_two(magnitude: np.ndarray) -> np.ndarray:
+    """``2**-e`` putting ``magnitude * 2**-e`` in ``[0.5, 1)`` (1 at 0)."""
+    return np.ldexp(1.0, -np.frexp(magnitude)[1])
+
+
+def reduce_pencils(G: np.ndarray, C: np.ndarray,
+                   samples: Optional[Sequence[int]] = None
+                   ) -> PencilReduction:
+    """Equilibrate and QZ-reduce the dense ``(N, n, n)`` pencils ``G + sC``.
+
+    Rows, then columns, of ``|G| + |C|`` are scaled by powers of two (an
+    exact scaling) so their largest entry lies in ``[0.5, 1)``.  That is
+    what keeps the reduction accurate when a 1e-12 gmin sits next to 1e3
+    conductances: on the open-loop op-amp (``cond(G + jwC)`` near 1e17)
+    the driving-point impedances are 9e2 relatively wrong unscaled and
+    within 1.1e-10 scaled.  ``samples`` (default: all) are reduced; the
+    others keep the identity pencil.
+    """
+    n_samples, n = G.shape[0], G.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (n_samples, n, n))
+    S, QH, Z = eye.copy(), eye.copy(), eye.copy()
+    T = np.zeros((n_samples, n, n), dtype=complex)
+    failures: Dict[int, Exception] = {}
+    magnitude = np.abs(G) + np.abs(C)
+    row_scale = _power_of_two(magnitude.max(axis=2))
+    col_scale = _power_of_two((row_scale[:, :, None] * magnitude).max(axis=1))
+    samples = range(n_samples) if samples is None else samples
+    tol = 8.0 * n * np.finfo(float).eps
+    with _span("ac.reduce", size=n, samples=len(samples)):
+        for k in samples:
+            scale = row_scale[k][:, None] * col_scale[k][None, :]
+            try:
+                AA, BB, Q, ZZ = scipy.linalg.qz(
+                    scale * G[k], scale * C[k], output="complex",
+                    overwrite_a=True, overwrite_b=True, check_finite=False)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                _count_failure("qz_failed")
+                failures[k] = SingularMatrixError(
+                    f"AC pencil reduction (QZ) failed: {exc}")
+                continue
+            # alpha_i = beta_i = 0: det(G + sC) vanishes at every s.
+            if np.any((np.abs(np.diagonal(AA)) <= tol * np.abs(AA).max())
+                      & (np.abs(np.diagonal(BB)) <= tol * np.abs(BB).max())):
+                _count_failure("singular_pencil")
+                failures[k] = SingularMatrixError(
+                    "AC system is singular at every frequency: the pencil "
+                    "G + sC is singular (a node or branch with no "
+                    "conductive or capacitive path)")
+                continue
+            S[k], T[k] = AA, BB
+            QH[k] = Q.conj().T * row_scale[k][None, :]
+            Z[k] = col_scale[k][:, None] * ZZ
+    return PencilReduction(S, T, QH, Z, failures)
+
+
+def _reduced_sweep(reduction: PencilReduction, rhs: np.ndarray,
+                   per_sample_rhs: bool, freq: np.ndarray,
+                   sel_rows: Optional[np.ndarray],
+                   sel_cols: Optional[np.ndarray]) -> tuple:
+    """Solve every (sample, frequency, column) of a reduced batch.
+
+    Returns ``(values, first_bad)``: ``values`` is ``(A, F, Q)`` for the
+    ``select`` pairs or ``(A, F, n, m)`` in full; ``first_bad[k]`` is the
+    first frequency index where sample ``k`` met a zero or non-finite
+    pivot or a non-finite solution, ``-1`` when clean.
+
+    Arrays are laid out ``(n, m, A, F)`` and each back-substitution step
+    is one broadcast multiply-subtract over the rows above it.  Plain
+    elementwise numpy keeps each sample's arithmetic independent of its
+    batchmates and of the selection, so ``select=`` output equals the
+    full output's entries, and a batch of one the scalar sweep, bit for
+    bit.
+    """
+    S, T, Z = reduction.S, reduction.T, reduction.Z
+    n_samples, n = S.shape[0], S.shape[1]
+    m = rhs.shape[-1]
+    if sel_rows is None:
+        rows, cols = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    else:
+        rows, cols = sel_rows, sel_cols
+    identity = np.array_equal(cols, np.arange(m))     # each column once
+    c = reduction.QH @ (rhs if per_sample_rhs else rhs[None])  # (A, n, m)
+    c = np.transpose(c, (1, 2, 0))[..., None]                  # (n, m, A, 1)
+    S_t = np.transpose(S, (1, 2, 0))[..., None]                # (n, n, A, 1)
+    T_t = np.transpose(T, (1, 2, 0))[..., None]
+    alpha = np.diagonal(S_t[..., 0]).T[..., None]              # (n, A, 1)
+    beta = np.diagonal(T_t[..., 0]).T[..., None]
+    Z_rows = np.transpose(Z, (1, 2, 0))[rows][..., None]       # (Q, n, A, 1)
+    out = np.empty((len(rows), n_samples, len(freq)), dtype=complex)
+    bad_points = np.empty((n_samples, len(freq)), dtype=bool)
+    width = max(1, _SWEEP_BLOCK // (n * m * n_samples))
+    y = np.empty((n, m, n_samples, min(width, len(freq))), dtype=complex)
+    scratch = np.empty_like(y)
+    column = np.empty((n, n_samples, y.shape[-1]), dtype=complex)
+    term = np.empty((len(rows), n_samples, y.shape[-1]), dtype=complex)
+    for f0 in range(0, len(freq), width):
+        f1 = min(f0 + width, len(freq))
+        fb = f1 - f0
+        s = (2j * np.pi) * freq[f0:f1]
+        pivots = alpha + beta * s                               # (n, A, Fb)
+        bad = ~np.isfinite(pivots) | (pivots == 0)
+        pivots[bad] = 1.0
+        inverse = 1.0 / pivots
+        yb, sb, block = y[..., :fb], scratch[..., :fb], out[..., f0:f1]
+        yb[:] = c
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n - 1, -1, -1):
+                yb[i] *= inverse[i]
+                if i:
+                    col = column[:i, :, :fb]
+                    np.multiply(T_t[:i, i], s, out=col)
+                    col += S_t[:i, i]
+                    np.multiply(col[:, None], yb[i], out=sb[:i])
+                    yb[:i] -= sb[:i]
+            # x = Z y, one (row, column) pair at a time.
+            picked = yb if identity else yb[:, cols]
+            np.multiply(Z_rows[:, 0], picked[0], out=block)
+            for j in range(1, n):
+                np.multiply(Z_rows[:, j], picked[j], out=term[..., :fb])
+                block += term[..., :fb]
+        bad_points[:, f0:f1] = bad.any(axis=0) | \
+            ~np.isfinite(block).all(axis=0)
+    first_bad = np.where(bad_points.any(axis=1),
+                         bad_points.argmax(axis=1), -1)
+    values = np.transpose(out, (1, 2, 0))                      # (A, F, Q)
+    if sel_rows is None:
+        values = values.reshape(n_samples, len(freq), n, m)
+    return values, first_bad
+
+
+def _lu_sweep(G: np.ndarray, C: np.ndarray, B: np.ndarray,
+              freq: np.ndarray) -> np.ndarray:
+    """``(F, n, m)`` solutions by one LU per frequency (dense systems above
+    :data:`REDUCED_SWEEP_MAX_SIZE`); a singular frequency raises."""
+    out = np.empty((len(freq),) + B.shape, dtype=complex)
+    for k, frequency in enumerate(freq):
+        try:
+            out[k] = np.linalg.solve(G + (2j * np.pi * frequency) * C, B)
+        except np.linalg.LinAlgError as exc:
+            raise _singular_at(frequency) from exc
+        if not np.all(np.isfinite(out[k])):
+            raise _singular_at(frequency)
+    return out
+
+
+def _singular_at(frequency: float) -> SingularMatrixError:
+    _count_failure("singular_frequency")
+    return SingularMatrixError(f"AC system is singular at {frequency:g} Hz")
+
+
+def _sweep_inputs(frequencies, select) -> tuple:
+    """The frequency array and ``select``'s row and column index arrays."""
+    freq = np.asarray(frequencies, dtype=float)
+    if freq.ndim != 1 or len(freq) < 1:
+        raise AnalysisError("at least one frequency is required")
+    if select is None:
+        return freq, None, None
+    pairs = np.asarray(list(select), dtype=np.int64).reshape(-1, 2)
+    return freq, pairs[:, 0], pairs[:, 1]
 
 
 def solve_ac_stacked(G, C, rhs: np.ndarray, frequencies,
-                     chunk_size: int = _STACK_CHUNK,
                      backend: Union[str, SolverBackend, None] = None,
-                     names: Optional[Sequence[str]] = None) -> np.ndarray:
+                     names: Optional[Sequence[str]] = None,
+                     select: Optional[Sequence] = None) -> np.ndarray:
     """Solve ``(G + j*2*pi*f*C) X = rhs`` for every frequency at once.
 
-    The chunked-solve contract: ``rhs`` may be a single vector ``(n,)``
-    (one stimulus — the AC analysis) or a matrix ``(n, m)`` (one column
-    per injection site — the multi-node impedance sweep); the result has
-    a leading frequency axis, ``(K, n)`` or ``(K, n, m)``, regardless of
-    how the frequencies were chunked internally::
+    ``rhs`` may be a single vector ``(n,)`` (one stimulus — the AC
+    analysis) or a matrix ``(n, m)`` (one column per injection site — the
+    multi-node impedance sweep); the result has a leading frequency
+    axis, ``(K, n)`` or ``(K, n, m)``::
 
         >>> import numpy as np
         >>> G = np.array([[2.0, -1.0], [-1.0, 2.0]])   # conductances
         >>> C = np.array([[1e-3, 0.0], [0.0, 1e-3]])   # capacitances
         >>> rhs = np.array([1.0, 0.0])                 # one stimulus
-        >>> X = solve_ac_stacked(G, C, rhs, [1.0, 10.0, 100.0], chunk_size=2)
+        >>> X = solve_ac_stacked(G, C, rhs, [1.0, 10.0, 100.0])
         >>> X.shape                                    # (K frequencies, n)
         (3, 2)
         >>> direct = np.linalg.solve(G + 2j * np.pi * 10.0 * C, rhs)
-        >>> bool(np.allclose(X[1], direct))            # chunking is invisible
+        >>> bool(np.allclose(X[1], direct))
         True
 
-    On the dense backend the system matrices are stacked into a
-    ``(K, n, n)`` array per chunk and handed to LAPACK as a batch, which
-    removes the Python-loop overhead of the AC hot path; if any matrix in
-    a chunk is singular the chunk is re-solved one frequency at a time to
-    report the exact offending frequency.  On the sparse backend (chosen
-    automatically for large sparse systems, or explicitly via
+    On the dense backend this is the reduced sweep as a batch of one (LU
+    per frequency above :data:`REDUCED_SWEEP_MAX_SIZE` unknowns); on the
+    sparse backend (chosen automatically for large sparse systems, or by
     ``backend="sparse"``; ``G``/``C`` may then be scipy sparse matrices)
-    each ``G + j*omega*C`` is factorized once with SuperLU and solved for
-    every RHS column.  ``names`` (MNA unknown names) improve singularity
-    diagnostics.
+    SuperLU factorizes each frequency once for every column.  A singular
+    frequency raises :class:`SingularMatrixError` naming it; ``names``
+    (MNA unknown names) improve the sparse path's diagnostics.
+    ``select`` (``(row, col)`` pairs, as in :func:`solve_ac_stacked_batch`)
+    keeps only those entries: ``(K, len(select))``.
     """
-    freq = np.asarray(frequencies, dtype=float)
-    if freq.ndim != 1 or len(freq) < 1:
-        raise AnalysisError("at least one frequency is required")
-    sparse_input = hasattr(G, "tocsc") or hasattr(C, "tocsc")
-    if backend is None and sparse_input:
+    freq, sel_rows, sel_cols = _sweep_inputs(frequencies, select)
+    if backend is None and (hasattr(G, "tocsc") or hasattr(C, "tocsc")):
         backend_obj = resolve_backend("sparse")
     else:
         n_unknowns, g_density = matrix_stats(G)
         backend_obj = resolve_backend(backend, size=n_unknowns,
                                       density=max(g_density, matrix_stats(C)[1]))
-
-    # Batched solvers return NaN solutions (without raising) for non-finite
-    # inputs; guard once up front so a pathological linearisation fails
-    # loudly instead of poisoning every downstream waveform.
     G_data = G.data if hasattr(G, "tocsc") else G
     C_data = C.data if hasattr(C, "tocsc") else C
     if not (np.all(np.isfinite(G_data)) and np.all(np.isfinite(C_data))):
-        raise SingularMatrixError(
-            "AC system matrices contain non-finite entries "
-            "(bad operating point or device model)")
-
+        _count_failure("non_finite_matrix")
+        raise SingularMatrixError(_NON_FINITE_MESSAGE)
     rhs = np.asarray(rhs, dtype=complex)
-    single_rhs = rhs.ndim == 1
-    B = rhs[:, None] if single_rhs else rhs
+    B = rhs[:, None] if rhs.ndim == 1 else rhs
 
     if backend_obj.name == "sparse":
         out = _solve_ac_sparse(G, C, B, freq, backend_obj, names)
+    elif matrix_stats(G)[0] > REDUCED_SWEEP_MAX_SIZE:
+        out = _lu_sweep(backend_obj.matrix(G), backend_obj.matrix(C), B, freq)
     else:
-        out = _solve_ac_dense_stacked(G, C, B, freq, chunk_size, backend_obj)
-    return out[:, :, 0] if single_rhs else out
-
-
-def _solve_ac_dense_stacked(G, C, B: np.ndarray, freq: np.ndarray,
-                            chunk_size: int,
-                            backend: SolverBackend) -> np.ndarray:
-    """Dense path: one batched LAPACK call per frequency chunk."""
-    G = backend.matrix(G)
-    C = backend.matrix(C)
-    n, m = B.shape
-    out = np.empty((len(freq), n, m), dtype=complex)
-    for start in range(0, len(freq), chunk_size):
-        block = freq[start:start + chunk_size]
-        omega = (2j * np.pi) * block
-        stack = G[None, :, :] + omega[:, None, None] * C[None, :, :]
-        try:
-            out[start:start + len(block)] = np.linalg.solve(
-                stack, np.broadcast_to(B, (len(block), n, m)))
-        except np.linalg.LinAlgError:
-            # Locate the singular frequency for a precise diagnostic.
-            for offset, frequency in enumerate(block):
-                matrix = G + (2j * np.pi * frequency) * C
-                try:
-                    out[start + offset] = np.linalg.solve(matrix, B)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrixError(
-                        f"AC system is singular at {frequency:g} Hz: {exc}") from exc
-    return out
+        reduction = reduce_pencils(backend_obj.matrix(G)[None],
+                                   backend_obj.matrix(C)[None])
+        if reduction.failures:
+            raise reduction.failures[0]
+        values, first_bad = _reduced_sweep(reduction, B, False, freq,
+                                           sel_rows, sel_cols)
+        if first_bad[0] >= 0:
+            raise _singular_at(freq[first_bad[0]])
+        out, sel_rows = values[0], None
+    if sel_rows is not None:
+        return out[:, sel_rows, sel_cols]
+    return out[:, :, 0] if rhs.ndim == 1 and select is None else out
 
 
 def _solve_ac_sparse(G, C, B: np.ndarray, freq: np.ndarray,
@@ -141,16 +345,9 @@ def _solve_ac_sparse(G, C, B: np.ndarray, freq: np.ndarray,
                      names: Optional[Sequence[str]],
                      pattern_key=None) -> np.ndarray:
     """Sparse path: one SuperLU factorization per frequency, all RHS columns
-    solved against it at once.
-
-    Every ``G + j*omega*C`` of one sweep shares the same sparsity pattern,
-    so the pattern key is hashed once and passed along — the per-frequency
-    factorizations then hit the symbolic-ordering cache without re-hashing
-    the structure each time.  Same-structure callers (the batched
-    stability sweep runs one sample after another over one compiled
-    pattern) pass ``pattern_key`` in so the hash is computed once per
-    *batch*, not once per sample.
-    """
+    solved against it at once.  Every frequency shares one sparsity
+    pattern, hashed once (``pattern_key``, which batch callers compute
+    once per batch) so each factorization hits the symbolic cache."""
     G = backend.matrix(G)
     C = backend.matrix(C)
     n, m = B.shape
@@ -164,295 +361,138 @@ def _solve_ac_sparse(G, C, B: np.ndarray, freq: np.ndarray,
                                   dtype=complex,
                                   pattern_key=pattern_key).solve(B)
         except SingularMatrixError as exc:
+            _count_failure("sparse_singular")
             raise SingularMatrixError(
                 f"AC system is singular at {frequency:g} Hz: {exc}") from exc
     return out
 
 
 def solve_ac_batch(batch, frequencies,
-                   backend: Union[str, SolverBackend, None] = None
-                   ) -> tuple:
-    """AC sweeps of a *linear* circuit for a whole scenario batch.
+                   backend: Union[str, SolverBackend, None] = None,
+                   x: Optional[np.ndarray] = None,
+                   failures: Optional[Dict[int, Exception]] = None) -> tuple:
+    """AC sweeps of a whole scenario batch, each sample driven by its own
+    AC stimulus.
 
     ``batch`` is a :class:`~repro.analysis.compiled.BatchStampState`
-    over one topology; every sample's small-signal system is its static
-    ``(G_k, C_k)`` (linear circuits have no operating-point companions).
-    On the dense backend the sample axis is the batch axis: each
-    frequency is one batched LAPACK call over the ``(N, n, n)`` stack of
-    ``G_k + j*omega*C_k`` systems.  On the sparse backend each sample
-    runs the stacked sparse sweep (one factorization per frequency,
-    pattern-keyed so the symbolic ordering is shared across samples).
+    over one topology.  Linear circuits are their own linearization;
+    nonlinear ones need ``x``, the ``(N, n)`` operating-point plane.
+    ``failures`` marks samples already known to be bad (say, by the DC
+    solve).  The sweep is :func:`solve_ac_stacked_batch` over
+    :func:`~repro.analysis.compiled.linearize_batch`.
 
     Returns ``(data, failures)``: ``data[k]`` is sample ``k``'s
     ``(K, n)`` complex response and ``failures`` maps failed samples
-    (restamp failures carried in from the batch, zero AC stimulus, a
-    singular frequency) to their exception; failed slabs are NaN.
+    (carried in, zero AC stimulus, a failed linearization, a singular
+    frequency) to their exception; failed slabs are NaN.
     """
+    from repro.analysis.compiled import linearize_batch
+
     with _span("analysis.ac_batch", samples=len(batch)):
-        return _solve_ac_batch_impl(batch, frequencies, backend)
-
-
-def _solve_ac_batch_impl(batch, frequencies,
-                         backend: Union[str, SolverBackend, None] = None
-                         ) -> tuple:
-    compiled = batch.compiled
-    if not compiled.is_linear:
-        raise AnalysisError(
-            "solve_ac_batch only handles linear circuits; nonlinear "
-            "scenarios linearise per sample through ac_analysis")
-    freq = np.asarray(frequencies, dtype=float)
-    if freq.ndim != 1 or len(freq) < 1:
-        raise AnalysisError("at least one frequency is required")
-    n = compiled.size
-    names = compiled.variable_names
-    density = max(compiled.pattern_G.density(), compiled.pattern_C.density())
-    backend_obj = resolve_backend(backend, size=n, density=density)
-    n_samples = len(batch)
-    data = np.full((n_samples, len(freq), n), np.nan, dtype=complex)
-    failures = dict(batch.failures)
-    for index in range(n_samples):
-        if index not in failures and not np.any(batch.b_ac[index]):
-            failures[index] = AnalysisError(
-                "AC analysis needs at least one source with a non-zero "
-                "AC magnitude")
-    healthy = [k for k in range(n_samples) if k not in failures]
-    if not healthy:
-        return data, failures
-
-    if backend_obj.name == "sparse":
-        for sample in healthy:
-            state = batch.sample(sample)
-            try:
-                data[sample] = solve_ac_stacked(
-                    state.G_csc(), state.C_csc(), state.b_ac, freq,
-                    backend=backend_obj, names=names)
-            except (SingularMatrixError, AnalysisError) as exc:
-                failures[sample] = exc
-                data[sample] = np.nan
-        return data, failures
-
-    G = compiled.pattern_G.to_dense_batch(batch.g_values[healthy],
-                                          dtype=complex)
-    C = compiled.pattern_C.to_dense_batch(batch.c_values[healthy],
-                                          dtype=complex)
-    rhs = batch.b_ac[healthy]
-    system = LinearSystem(G[0].real, backend=backend_obj, names=names)
-    failed_positions = set()
-    for k, frequency in enumerate(freq):
-        stack = G + (2j * np.pi * frequency) * C
-        solved, solve_failures = system.solve_batch(stack, rhs)
-        for position, sample in enumerate(healthy):
-            if position in failed_positions:
-                continue
-            if position in solve_failures:
-                failed_positions.add(position)
-                failures[sample] = SingularMatrixError(
-                    f"AC system is singular at {frequency:g} Hz: "
-                    f"{solve_failures[position]}")
-                data[sample] = np.nan
-                # Swap the dead sample's system for the identity so the
-                # remaining frequencies stay on the batched kernel — one
-                # singular sample must not demote every later frequency
-                # to the per-sample LinAlgError fallback.
-                G[position] = np.eye(n, dtype=complex)
-                C[position] = 0.0
-            else:
-                data[sample, k] = solved[position]
-    return data, failures
+        failures = {**batch.failures, **(failures or {})}
+        for index in range(len(batch)):
+            if index not in failures and not np.any(batch.b_ac[index]):
+                failures[index] = AnalysisError(
+                    "AC analysis needs at least one source with a non-zero "
+                    "AC magnitude")
+        if len(failures) == len(batch):
+            freq = _sweep_inputs(frequencies, None)[0]
+            return np.full((len(batch), len(freq), batch.compiled.size),
+                           np.nan, dtype=complex), failures
+        data, failures = solve_ac_stacked_batch(
+            linearize_batch(batch, x, failures=failures),
+            batch.b_ac[:, :, None], frequencies, backend=backend)
+        return data[..., 0], failures
 
 
 def solve_ac_stacked_batch(lin, rhs, frequencies,
                            backend: Union[str, SolverBackend, None] = None,
                            select: Optional[Sequence] = None) -> tuple:
-    """Frequency sweeps of a whole linearized batch in stacked solves.
+    """Frequency sweeps of a whole linearized batch.
 
     ``lin`` is a :class:`~repro.analysis.compiled.BatchLinearization` —
     N samples' small-signal ``G``/``C`` value planes over one shared
-    pattern.  ``rhs`` is either one shared ``(n, m)`` excitation plane
-    (one column per injection site — the multi-node impedance cube) or a
-    per-sample ``(N, n, m)`` stack (the batched nonlinear AC path, with
-    ``m = 1``).  On the dense backend each frequency assembles the
-    ``(A, n, n)`` stack of every healthy sample's ``G_k + j*omega*C_k``
-    and makes ONE batched LAPACK call against the multi-RHS plane —
-    sample axis and probed-node axis solved together.  On the sparse
-    backend samples run one after another under a single precomputed
-    pattern key, so every factorization of the batch shares one cached
-    symbolic ordering.
+    pattern.  ``rhs`` is one shared ``(n, m)`` excitation plane (one
+    column per injection site — the impedance cube) or a per-sample
+    ``(N, n, m)`` stack.  The dense backend runs the reduced sweep over
+    the batch's cached
+    :meth:`~repro.analysis.compiled.BatchLinearization.reduction` (LU per
+    frequency above :data:`REDUCED_SWEEP_MAX_SIZE` unknowns); the sparse
+    backend runs the samples under one shared pattern key.
 
     ``select`` (optional) is a sequence of ``(row, col)`` index pairs
-    into the per-frequency solution matrix; when given, only those
-    entries are kept and the result is ``(N, K, len(select))`` — the
-    impedance sweep keeps the diagonal ``Z(node_c) = X[node_c, c]``
-    entries instead of materialising the full ``(N, K, n, m)`` cube.
+    into the per-frequency solution matrix; only those entries are kept,
+    ``(N, K, len(select))`` — the impedance sweep keeps the diagonal
+    ``Z(node_c) = X[node_c, c]`` instead of the full ``(N, K, n, m)``.
 
     Returns ``(data, failures)``: failed samples (linearization failures
-    carried in from ``lin``, non-finite planes, a singular frequency
-    point) map to their exception and their slabs are NaN — one poisoned
-    sample never hurts its batchmates.
+    carried in from ``lin``, non-finite planes, a singular pencil or
+    frequency point) map to their exception and their slabs are NaN —
+    one poisoned sample never hurts its batchmates.
     """
-    freq = np.asarray(frequencies, dtype=float)
-    if freq.ndim != 1 or len(freq) < 1:
-        raise AnalysisError("at least one frequency is required")
+    freq, sel_rows, sel_cols = _sweep_inputs(frequencies, select)
     n = lin.pattern.n
     n_samples = len(lin)
     rhs = np.asarray(rhs, dtype=complex)
-    if rhs.ndim == 2:
-        per_sample_rhs = False
-    elif rhs.ndim == 3 and rhs.shape[0] == n_samples:
-        per_sample_rhs = True
-    else:
+    per_sample_rhs = rhs.ndim == 3 and rhs.shape[0] == n_samples
+    if rhs.ndim != 2 and not per_sample_rhs:
         raise AnalysisError(
             "rhs must be (n, m) shared across samples or (N, n, m) "
             f"per-sample; got shape {rhs.shape} for {n_samples} samples")
-    m = rhs.shape[-1]
-
-    if select is not None:
-        sel_rows = np.asarray([pair[0] for pair in select], dtype=np.int64)
-        sel_cols = np.asarray([pair[1] for pair in select], dtype=np.int64)
-        data = np.full((n_samples, len(freq), len(sel_rows)), np.nan,
-                       dtype=complex)
-    else:
-        sel_rows = sel_cols = None
-        data = np.full((n_samples, len(freq), n, m), np.nan, dtype=complex)
+    shape = (len(sel_rows),) if select is not None else (n, rhs.shape[-1])
+    data = np.full((n_samples, len(freq)) + shape, np.nan, dtype=complex)
 
     failures = dict(lin.failures)
     for index in range(n_samples):
-        if index in failures:
-            continue
-        if not (np.all(np.isfinite(lin.g_values[index]))
+        if index not in failures and not (
+                np.all(np.isfinite(lin.g_values[index]))
                 and np.all(np.isfinite(lin.c_values[index]))):
-            failures[index] = SingularMatrixError(
-                "AC system matrices contain non-finite entries "
-                "(bad operating point or device model)")
+            _count_failure("non_finite_matrix")
+            failures[index] = SingularMatrixError(_NON_FINITE_MESSAGE)
     healthy = [k for k in range(n_samples) if k not in failures]
 
     span = _span("ac.stacked_batch", samples=n_samples,
                  frequencies=len(freq), select=len(select) if select else 0)
     with span:
-        if healthy:
-            names = lin.compiled.variable_names
-            density = max(lin.pattern.density(), lin.cap_pattern.density())
-            backend_obj = resolve_backend(backend, size=n, density=density)
-            if backend_obj.name == "sparse":
-                _stacked_batch_sparse(lin, rhs, per_sample_rhs, freq, healthy,
-                                      backend_obj, names, sel_rows, sel_cols,
-                                      data, failures)
-            else:
-                _stacked_batch_dense(lin, rhs, per_sample_rhs, freq, healthy,
-                                     sel_rows, sel_cols, data, failures)
+        density = max(lin.pattern.density(), lin.cap_pattern.density())
+        backend_obj = resolve_backend(backend, size=n, density=density)
+        sparse = backend_obj.name == "sparse"
+        if healthy and not sparse and n <= REDUCED_SWEEP_MAX_SIZE:
+            reduction = lin.reduction()
+            for index, exc in reduction.failures.items():
+                failures.setdefault(index, exc)
+            alive = [k for k in healthy if k not in reduction.failures]
+            if alive:
+                values, first_bad = _reduced_sweep(
+                    reduction.take(alive), rhs[alive] if per_sample_rhs
+                    else rhs, per_sample_rhs, freq, sel_rows, sel_cols)
+                for position, sample in enumerate(alive):
+                    if first_bad[position] >= 0:
+                        failures[sample] = _singular_at(
+                            freq[first_bad[position]])
+                    else:
+                        data[sample] = values[position]
+        elif healthy:
+            if sparse:
+                G, C = lin.sample_sparse(healthy[0])
+                key = csc_pattern_key((G + (2j * np.pi * freq[0]) * C).tocsc())
+            for sample in healthy:
+                B = rhs[sample] if per_sample_rhs else rhs
+                try:
+                    if sparse:
+                        G, C = lin.sample_sparse(sample)
+                        solved = _solve_ac_sparse(
+                            G, C, B, freq, backend_obj,
+                            lin.compiled.variable_names, pattern_key=key)
+                    else:
+                        solved = _lu_sweep(*lin.sample_dense(sample), B, freq)
+                except (SingularMatrixError, AnalysisError) as exc:
+                    failures[sample] = exc
+                    continue
+                data[sample] = solved if select is None \
+                    else solved[:, sel_rows, sel_cols]
         span.set(failures=len(failures))
     return data, failures
-
-
-#: Memory budget of the dense stacked kernel's ``(K, A, n, n)`` frequency
-#: chunk (complex128 bytes).  Small systems fit hundreds of frequencies
-#: per LAPACK call; large ones degrade gracefully towards one call per
-#: frequency.
-_DENSE_STACK_BUDGET_BYTES = 64 << 20
-
-
-def _stacked_batch_dense(lin, rhs, per_sample_rhs, freq, healthy,
-                         sel_rows, sel_cols, data, failures) -> None:
-    """Dense kernel: frequency and sample axes solved together.
-
-    Frequencies are chunked so the assembled ``(K_c, A, n, n)`` tensor
-    stays within :data:`_DENSE_STACK_BUDGET_BYTES`; each chunk is ONE
-    broadcasted LAPACK call covering every (frequency, sample) pair —
-    the per-call overhead of small-matrix solves dominates a
-    per-frequency loop, not the flops.  A singular chunk falls back to
-    the per-frequency / per-sample ladder to locate and fail the bad
-    sample alone.
-    """
-    n = lin.pattern.n
-    m = rhs.shape[-1]
-    G = lin.pattern.to_dense_batch(lin.g_values[healthy], dtype=complex)
-    C = lin.cap_pattern.to_dense_batch(lin.c_values[healthy], dtype=complex)
-    if per_sample_rhs:
-        B = rhs[healthy]
-    else:
-        B = np.broadcast_to(rhs, (len(healthy), n, m))
-    dead = set()
-    healthy_arr = np.asarray(healthy, dtype=np.int64)
-    per_freq_bytes = max(len(healthy) * n * n * 16, 1)
-    chunk = int(max(1, min(len(freq),
-                           _DENSE_STACK_BUDGET_BYTES // per_freq_bytes)))
-    omega = 2j * np.pi * freq
-    for k0 in range(0, len(freq), chunk):
-        k1 = min(k0 + chunk, len(freq))
-        stack = G[None] + omega[k0:k1, None, None, None] * C[None]
-        try:
-            solved = np.linalg.solve(stack, B[None])
-        except np.linalg.LinAlgError:
-            for k in range(k0, k1):
-                _dense_one_frequency(freq[k], k, G, C, B, healthy, dead,
-                                     sel_rows, sel_cols, data, failures, n)
-            continue
-        alive = [p for p in range(len(healthy)) if p not in dead]
-        if not alive:
-            continue
-        if sel_rows is not None:
-            picked = solved[:, :, sel_rows, sel_cols]
-            data[healthy_arr[alive], k0:k1] = picked[:, alive].swapaxes(0, 1)
-        else:
-            data[healthy_arr[alive], k0:k1] = solved[:, alive].swapaxes(0, 1)
-
-
-def _dense_one_frequency(frequency, k, G, C, B, healthy, dead,
-                         sel_rows, sel_cols, data, failures, n) -> None:
-    """Single-frequency fallback of the dense kernel: locate the singular
-    sample(s), fail them alone and swap in the identity so the remaining
-    chunks stay batched."""
-    stack = G + (2j * np.pi * frequency) * C
-    try:
-        solved = np.linalg.solve(stack, B)
-    except np.linalg.LinAlgError:
-        solved = np.full_like(np.asarray(B), np.nan)
-        for position, sample in enumerate(healthy):
-            if position in dead:
-                continue
-            try:
-                solved[position] = np.linalg.solve(stack[position],
-                                                   B[position])
-            except np.linalg.LinAlgError as exc:
-                dead.add(position)
-                failures[sample] = SingularMatrixError(
-                    f"AC system is singular at {frequency:g} Hz: {exc}")
-                data[sample] = np.nan
-                G[position] = np.eye(n, dtype=complex)
-                C[position] = 0.0
-    for position, sample in enumerate(healthy):
-        if position in dead:
-            continue
-        if sel_rows is not None:
-            data[sample, k] = solved[position][sel_rows, sel_cols]
-        else:
-            data[sample, k] = solved[position]
-
-
-def _stacked_batch_sparse(lin, rhs, per_sample_rhs, freq, healthy,
-                          backend_obj, names, sel_rows, sel_cols,
-                          data, failures) -> None:
-    """Sparse kernel: per-sample frequency loops under one shared pattern
-    key, so every factorization hits the cached symbolic ordering."""
-    pattern_key = None
-    for sample in healthy:
-        G = lin.pattern.to_csc(lin.g_values[sample])
-        C = lin.cap_pattern.to_csc(lin.c_values[sample])
-        if pattern_key is None:
-            probe = (G + (2j * np.pi * freq[0]) * C).tocsc()
-            pattern_key = csc_pattern_key(probe)
-        B = rhs[sample] if per_sample_rhs else rhs
-        try:
-            solved = _solve_ac_sparse(G, C, B, freq, backend_obj, names,
-                                      pattern_key=pattern_key)
-        except (SingularMatrixError, AnalysisError) as exc:
-            failures[sample] = exc
-            data[sample] = np.nan
-            continue
-        if sel_rows is not None:
-            data[sample] = solved[:, sel_rows, sel_cols]
-        else:
-            data[sample] = solved
 
 
 def ac_analysis(circuit: Optional[Circuit],

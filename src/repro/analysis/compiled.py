@@ -650,18 +650,10 @@ class BatchStampState:
         """All scenarios' dense ``G`` as one ``(N, n, n)`` stack."""
         return self.pattern_G.to_dense_batch(self.g_values, out=out)
 
-    def C_dense_batch(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """All scenarios' dense ``C`` as one ``(N, n, n)`` stack."""
-        return self.pattern_C.to_dense_batch(self.c_values, out=out)
-
     def G_csc_data_batch(self, dtype=float) -> np.ndarray:
         """All scenarios' CSC data arrays, ``(N, structural_nnz)`` — rows
         feed :meth:`~repro.linalg.LinearSystem.solve_batch` on sparse."""
         return self.pattern_G.csc_data_batch(self.g_values, dtype=dtype)
-
-    def C_csc_data_batch(self, dtype=float) -> np.ndarray:
-        """All scenarios' CSC ``C`` data arrays, ``(N, structural_nnz)``."""
-        return self.pattern_C.csc_data_batch(self.c_values, dtype=dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "vectorized" if self.vectorized else "scalar-fallback"
@@ -1241,10 +1233,17 @@ class BatchLinearization:
     poisoning carried over, or a companion structure/limiting problem at
     the operating point) to their exceptions; those rows are NaN and
     never poison their batchmates.
+
+    :meth:`reduction` caches each sample's QZ reduction for the dense AC
+    sweep and :meth:`take` hands its rows to the sub-batch, so every
+    sweep of the same planes shares one QZ per sample.  Assigning new
+    ``g_values``/``c_values`` arrays drops the cache (the planes are not
+    to be changed in place once reduced).
     """
 
     __slots__ = ("compiled", "pattern", "cap_pattern", "g_values",
-                 "c_values", "b_ac", "temperatures", "gmins", "failures")
+                 "c_values", "b_ac", "temperatures", "gmins", "failures",
+                 "_reduction")
 
     def __init__(self, compiled: "CompiledCircuit", pattern: CompiledPattern,
                  cap_pattern: CompiledPattern, g_values: np.ndarray,
@@ -1260,6 +1259,7 @@ class BatchLinearization:
         self.temperatures = temperatures
         self.gmins = gmins
         self.failures = failures or {}
+        self._reduction = None
 
     def __len__(self) -> int:
         return self.g_values.shape[0]
@@ -1287,11 +1287,40 @@ class BatchLinearization:
         failures = {position: self.failures[int(sample)]
                     for position, sample in enumerate(rows)
                     if int(sample) in self.failures}
-        return BatchLinearization(self.compiled, self.pattern,
-                                  self.cap_pattern, self.g_values[rows],
-                                  self.c_values[rows], self.b_ac[rows],
-                                  self.temperatures[rows], self.gmins[rows],
-                                  failures)
+        sub = BatchLinearization(self.compiled, self.pattern,
+                                 self.cap_pattern, self.g_values[rows],
+                                 self.c_values[rows], self.b_ac[rows],
+                                 self.temperatures[rows], self.gmins[rows],
+                                 failures)
+        if self._reduction_is_current():
+            sub._reduction = (sub.g_values, sub.c_values,
+                              self._reduction[2].take(rows))
+        return sub
+
+    def _reduction_is_current(self) -> bool:
+        return self._reduction is not None \
+            and self._reduction[0] is self.g_values \
+            and self._reduction[1] is self.c_values
+
+    def reduction(self):
+        """Every healthy sample's QZ reduction of ``G + sC`` (a
+        :class:`repro.analysis.ac.PencilReduction`), cached."""
+        if not self._reduction_is_current():
+            from repro.analysis.ac import reduce_pencils
+
+            healthy = [k for k in self.healthy_indices()
+                       if np.all(np.isfinite(self.g_values[k]))
+                       and np.all(np.isfinite(self.c_values[k]))]
+            # Densified like sample_dense, so a sample's sweep is bit for
+            # bit its scalar sweep.
+            G = np.zeros((self.n_samples, self.pattern.n, self.pattern.n))
+            C = np.zeros_like(G)
+            for k in healthy:
+                self.pattern.to_dense(self.g_values[k], out=G[k])
+                self.cap_pattern.to_dense(self.c_values[k], out=C[k])
+            self._reduction = (self.g_values, self.c_values,
+                               reduce_pencils(G, C, healthy))
+        return self._reduction[2]
 
     # -- per-sample scalar views ----------------------------------------
     def sample_dense(self, index: int) -> Tuple[np.ndarray, np.ndarray]:

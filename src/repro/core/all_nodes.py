@@ -34,10 +34,16 @@ from repro.core.single_node import (
 )
 from repro.core.stability_plot import stability_plot, stability_plot_grid
 from repro.exceptions import StabilityAnalysisError
+from repro.obs.metrics import global_registry
 from repro.waveform.waveform import Waveform
 
 __all__ = ["AllNodesOptions", "AllNodesResult", "analyze_all_nodes",
-           "analyze_all_nodes_batch"]
+           "analyze_all_nodes_batch", "pole_mismatches"]
+
+#: Bounds of the in-program pole cross-check: a loop's natural frequency
+#: and damping ratio against the nearest complex pole pair of its pencil.
+POLE_FREQ_RTOL = 0.03
+POLE_ZETA_RTOL = 0.05
 
 
 @dataclass
@@ -346,7 +352,47 @@ def analyze_all_nodes_batch(circuit: Circuit,
                                               start)
         except Exception as exc:
             outputs[k] = exc
+
+    # The sweep's QZ reduction holds every sample's poles for free: hold
+    # each reported loop against them (the dense path only).
+    reduction = sweeper.reduction()
+    if reduction is not None:
+        registry = global_registry()
+        for k, output in enumerate(outputs):
+            if isinstance(output, AllNodesResult):
+                for node in pole_mismatches(output, reduction.poles(k)):
+                    registry.counter(f"verdict.pole_mismatch.{node}").inc()
     return outputs
+
+
+def pole_mismatches(result: AllNodesResult, poles: np.ndarray) -> List[str]:
+    """Worst nodes of the loops of ``result`` that miss their pole pair.
+
+    Each loop that claims an under-damped complex pair (a normal peak
+    with ``zeta < 1``) is compared with the complex pole pair of
+    ``poles`` (rad/s) nearest to it in natural frequency; it misses when
+    its natural frequency is off by more than :data:`POLE_FREQ_RTOL` or
+    its damping ratio by more than :data:`POLE_ZETA_RTOL`, or when there
+    is no complex pole pair at all.
+    """
+    pairs = poles[poles.imag > 0]
+    pole_hz = np.abs(pairs) / (2.0 * np.pi)
+    pole_zeta = -pairs.real / np.abs(pairs)
+    missed: List[str] = []
+    for loop in result.loops:
+        worst = loop.worst_node
+        if worst.peak_type is not PeakType.NORMAL \
+                or not loop.damping_ratio < 1.0:
+            continue
+        frequency = loop.natural_frequency_hz
+        if len(pairs):
+            j = int(np.argmin(np.abs(np.log(pole_hz / frequency))))
+            if abs(frequency / pole_hz[j] - 1.0) <= POLE_FREQ_RTOL and \
+                    abs(loop.damping_ratio / pole_zeta[j] - 1.0) \
+                    <= POLE_ZETA_RTOL:
+                continue
+        missed.append(worst.node)
+    return missed
 
 
 def _scan_sample(nodes: List[str], freq: np.ndarray, slab: np.ndarray,

@@ -4,12 +4,13 @@ The all-nodes run needs the self-response of *every* node to an injected
 AC current.  Done naively that is one AC analysis per node, each of which
 factorises the same ``(G + jwC)`` matrix at every frequency.  Because the
 matrix does not depend on where the current is injected — only the
-right-hand side does — a single factorisation per frequency can serve all
-nodes at once, and the whole sweep is handed to the solver as one
-stacked batch (:func:`repro.analysis.ac.solve_ac_stacked`): a batched
-LAPACK call on the dense backend, one SuperLU factorization per
-frequency (shared by every injection column) on the sparse backend —
-see ``docs/solver-backends.md``.  This gives results numerically
+right-hand side does — one factorisation (or one QZ reduction) can serve
+all nodes at once, and the whole sweep is handed to the solver as one
+stacked batch (:func:`repro.analysis.ac.solve_ac_stacked`): one QZ
+reduction of the pencil and a triangular solve per frequency on the
+dense backend, one SuperLU factorization per frequency (shared by every
+injection column) on the sparse backend — see
+``docs/solver-backends.md``.  This gives results numerically
 identical to the one-node-at-a-time path (which the tests verify) at a
 fraction of the cost, and is the engine behind
 ``AllNodesOptions(use_fast_solver=True)``.
@@ -123,12 +124,12 @@ class ImpedanceSweeper:
         for column, index in enumerate(indices):
             rhs[index, column] = 1.0
 
-        # One batched solve over all frequencies and all injection columns;
-        # Z(node_c) at frequency k is the diagonal entry solution[k, i_c, c].
-        solution = solve_ac_stacked(self._G, self._C, rhs, freq,
-                                    backend=self._backend,
-                                    names=self._system.variable_names)
-        data = solution[:, indices, np.arange(len(nodes))]
+        # One solve over all frequencies and all injection columns, kept
+        # to the diagonal entries: Z(node_c) is solution[k, i_c, c].
+        data = solve_ac_stacked(self._G, self._C, rhs, freq,
+                                backend=self._backend,
+                                names=self._system.variable_names,
+                                select=list(zip(indices, range(len(nodes)))))
         return {node: data[:, column] for column, node in enumerate(nodes)}
 
     def impedance_waveforms(self, nodes: Sequence[str],
@@ -148,15 +149,14 @@ class BatchImpedanceSweeper:
     :class:`~repro.analysis.compiled.BatchLinearization` — N samples'
     small-signal planes over one shared pattern — and
     :meth:`impedance_cube` computes the full ``(N, nodes, F)`` impedance
-    cube in stacked batch solves: on the dense backend each frequency is
-    ONE batched LAPACK call covering every sample and every injection
-    column together; on the sparse backend every factorization of the
-    batch shares one cached symbolic ordering.
+    cube in stacked batch solves: on the dense backend one reduced sweep
+    covers every sample, frequency and injection column together, over
+    QZ reductions cached on ``lin`` (so refinement windows reuse them);
+    on the sparse backend every factorization of the batch shares one
+    cached symbolic ordering.
 
-    :meth:`sample_impedances` is the scalar view used by the per-sample
-    peak refinement: the same injection sweep, restricted to one sample's
-    matrices (each sample's refinement frequencies depend on its own
-    dominant peak, so those small windows cannot share a batch axis).
+    :meth:`sample_impedances` is the one-sample view used by the
+    per-sample peak refinement.
     """
 
     def __init__(self, lin: BatchLinearization,
@@ -183,6 +183,14 @@ class BatchImpedanceSweeper:
 
     def has_node(self, node: str) -> bool:
         return node in self._compiled.node_names
+
+    def reduction(self):
+        """The batch's cached QZ reduction on the dense path (its
+        :meth:`~repro.analysis.ac.PencilReduction.poles` are every
+        sample's natural frequencies), ``None`` on the sparse path."""
+        if self._backend.name == "sparse":
+            return None
+        return self._lin.reduction()
 
     def _injection_rhs(self, nodes: Sequence[str]):
         unknown = [n for n in nodes if not self.has_node(n)]
@@ -230,19 +238,14 @@ class BatchImpedanceSweeper:
 
     def sample_impedances(self, index: int, nodes: Sequence[str],
                           frequencies: Sequence[float]) -> Dict[str, np.ndarray]:
-        """One sample's scalar impedance sweep (the refinement path)."""
+        """One sample's impedance sweep (the refinement path): a batch of
+        one through :meth:`impedance_cube`, so it reuses the batch's
+        reduction."""
         if index in self._lin.failures:
             raise self._lin.failures[index]
         nodes = list(nodes)
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.ndim != 1 or len(freq) < 1:
-            raise StabilityAnalysisError("at least one frequency is required")
-        indices, rhs = self._injection_rhs(nodes)
-        if self._backend.name == "sparse":
-            G, C = self._lin.sample_sparse(index)
-        else:
-            G, C = self._lin.sample_dense(index)
-        solution = solve_ac_stacked(G, C, rhs, freq, backend=self._backend,
-                                    names=self._compiled.variable_names)
-        data = solution[:, indices, np.arange(len(nodes))]
-        return {node: data[:, column] for column, node in enumerate(nodes)}
+        cube, failures = self.impedance_cube(nodes, frequencies,
+                                             samples=[index])
+        if index in failures:
+            raise failures[index]
+        return {node: cube[0, column] for column, node in enumerate(nodes)}

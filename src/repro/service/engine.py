@@ -61,7 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.ac import ac_analysis, solve_ac_batch, solve_ac_stacked_batch
+from repro.analysis.ac import ac_analysis, solve_ac_batch
 from repro.analysis.compiled import BatchStampState, CompiledCircuit, linearize_batch
 from repro.analysis.dcsweep import dc_sweep
 from repro.analysis.op import (
@@ -524,11 +524,9 @@ def execute_linear_batch(requests: Sequence[AnalysisRequest],
     :func:`~repro.analysis.op.solve_linear_dc_batch` for linear
     circuits, or the masked batched Newton engine
     :func:`~repro.analysis.op.solve_nonlinear_dc_batch` for nonlinear
-    groups.  ``ac`` groups then run one batched frequency sweep — linear
-    circuits via :func:`~repro.analysis.ac.solve_ac_batch`, nonlinear
-    ones via :func:`~repro.analysis.compiled.linearize_batch` (per-
-    sample small-signal planes at the batched Newton solutions) feeding
-    :func:`~repro.analysis.ac.solve_ac_stacked_batch`.  Stability
+    groups.  ``ac`` groups then run one batched frequency sweep,
+    :func:`~repro.analysis.ac.solve_ac_batch` (nonlinear circuits
+    linearized at the batched Newton solutions).  Stability
     groups (``all-nodes``/``single-node``) push the same linearized
     batch through the sample-axis screening pipeline —
     :func:`~repro.core.all_nodes.analyze_all_nodes_batch` /
@@ -584,26 +582,9 @@ def execute_linear_batch(requests: Sequence[AnalysisRequest],
         else:
             x, failures = solve_linear_dc_batch(batch, backend=first.backend)
         if first.mode == "ac":
-            if nonlinear:
-                # Match the scalar contract: a sample with no AC stimulus
-                # is a per-sample failure (demoted to execute_request,
-                # which reproduces the diagnostic), not a silent zero.
-                for index in range(len(requests)):
-                    if index not in failures \
-                            and not np.any(batch.b_ac[index]):
-                        failures[index] = AnalysisError(
-                            "AC analysis needs at least one source with "
-                            "a non-zero AC magnitude")
-                if len(failures) < len(requests):
-                    lin = linearize_batch(batch, x, failures=failures)
-                    data, failures = solve_ac_stacked_batch(
-                        lin, batch.b_ac[:, :, None],
-                        first.sweep().frequencies, backend=first.backend)
-                    data = data[..., 0]
-            else:
-                data, ac_failures = solve_ac_batch(
-                    batch, first.sweep().frequencies, backend=first.backend)
-                failures = {**failures, **ac_failures}
+            data, failures = solve_ac_batch(
+                batch, first.sweep().frequencies, backend=first.backend,
+                x=x if nonlinear else None, failures=failures)
         elif stability and len(failures) < len(requests):
             lin = linearize_batch(batch, x if nonlinear else None,
                                   failures=failures)

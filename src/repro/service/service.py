@@ -195,6 +195,7 @@ class StabilityService:
             return None
         response = AnalysisResponse.from_dict(payload)
         response.cached = True
+        response.label = request.label
         return response
 
     def _store(self, response: AnalysisResponse) -> None:
@@ -318,6 +319,7 @@ class StabilityService:
                     if payload is not None:
                         cached = AnalysisResponse.from_dict(payload)
                         cached.cached = True
+                        cached.label = request.label
                         responses[index] = cached
                         emit(cached)
                         continue

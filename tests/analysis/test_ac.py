@@ -137,7 +137,7 @@ class TestSolveAcStacked:
         C = rng.standard_normal((n, n)) * 1e-9
         b = rng.standard_normal(n)
         freqs = np.logspace(0, 9, 37)
-        stacked = solve_ac_stacked(G, C, b, freqs, chunk_size=8)
+        stacked = solve_ac_stacked(G, C, b, freqs)
         for k, f in enumerate(freqs):
             direct = np.linalg.solve(G + 2j * np.pi * f * C, b)
             assert np.allclose(stacked[k], direct)

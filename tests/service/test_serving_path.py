@@ -132,6 +132,7 @@ class TestStreamBytes:
                 job = gateway.jobs.get(again["id"])
                 [hit] = job.results()
                 assert hit.cached
+                assert hit.label == "hit"
                 assert lines[:-1] == _expected_lines(job)
 
     def test_a_fresh_result_is_encoded_once(self, tmp_path, monkeypatch):
