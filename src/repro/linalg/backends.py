@@ -250,9 +250,11 @@ class SparseBackend(SolverBackend):
     Factorizations are pattern-aware: the first factorization of a given
     sparsity pattern runs SuperLU's full symbolic analysis (COLAMD column
     ordering) and caches the resulting ordering under the pattern key;
-    every later same-pattern factorization pre-permutes the columns with
-    the cached ordering and calls SuperLU with ``permc_spec="NATURAL"``,
-    skipping the symbolic ordering work and paying only the numeric LU.
+    every factorization — that first one included — pre-permutes the
+    columns with the cached ordering and calls SuperLU with
+    ``permc_spec="NATURAL"``, so later same-pattern factorizations skip
+    the symbolic ordering work and pay only the numeric LU, and the
+    result does not depend on the cache state.
     This is what makes compiled-circuit scenario sweeps (same structure,
     new values per sample) and AC sweeps (same ``G + j*omega*C`` pattern
     per frequency) cheap; ``SolveStats.symbolic_reuses`` counts the hits.
@@ -314,17 +316,18 @@ class SparseBackend(SolverBackend):
         perm_c = self._cached_ordering(pattern_key)
         try:
             if perm_c is not None and len(perm_c) == csc.shape[1]:
-                # Same pattern as a previous factorization: apply the cached
-                # column ordering ourselves and tell SuperLU to skip its
-                # symbolic ordering pass.  ``splu`` internally factorizes
-                # A[:, perm_c]; doing the permutation up front with
-                # permc_spec="NATURAL" is the identical computation.
-                factor = splu(csc[:, perm_c].tocsc(), permc_spec="NATURAL")
                 type(self).stats.inc("symbolic_reuses")
             else:
-                factor = splu(csc)
-                self._store_ordering(pattern_key, factor.perm_c)
-                perm_c = None
+                # First sight of this pattern: let SuperLU order it, keep
+                # only the ordering and factor again below.
+                perm_c = splu(csc).perm_c
+                self._store_ordering(pattern_key, perm_c)
+            # Apply the column ordering ourselves and tell SuperLU to skip
+            # its symbolic pass.  Factoring A[:, perm_c] with NATURAL is
+            # not bit-identical to splu's own COLAMD run, so both the cold
+            # and the warm call take this path: a solution never depends
+            # on what the ordering cache held.
+            factor = splu(csc[:, perm_c].tocsc(), permc_spec="NATURAL")
         except (RuntimeError, ValueError) as exc:
             # SuperLU reports exact singularity as a RuntimeError.
             raise SingularMatrixError(
@@ -332,11 +335,10 @@ class SparseBackend(SolverBackend):
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             solution = factor.solve(np.asarray(rhs))
-            if perm_c is not None:
-                # factor solved A[:, perm_c] y = rhs, i.e. y = Pc^T x.
-                unpermuted = np.empty_like(solution)
-                unpermuted[perm_c] = solution
-                solution = unpermuted
+            # factor solved A[:, perm_c] y = rhs, i.e. y = Pc^T x.
+            unpermuted = np.empty_like(solution)
+            unpermuted[perm_c] = solution
+            solution = unpermuted
             if not np.all(np.isfinite(solution)):
                 raise SingularMatrixError(singular_system_message(
                     csc, names, detail="non-finite solution (near-singular system)"))

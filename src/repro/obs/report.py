@@ -45,12 +45,12 @@ class EngineReport:
     chunks:
         Pool chunks dispatched.
     chunk_seconds:
-        Wall time of each pool chunk, in completion order (worker-
-        measured for process pools).
+        Worker-measured wall time of each pool chunk, in completion
+        order.
     worker_metrics:
         Sum of every pool worker's metric delta (snapshot form, see
-        :mod:`repro.obs.metrics`) — empty for serial/thread runs, whose
-        work is already visible in the parent registry.
+        :mod:`repro.obs.metrics`) — empty for serial runs, whose work is
+        already visible in the parent registry.
     run_metrics:
         The parent process registry delta over the whole run, *including*
         the folded-in worker deltas: the total metric cost of the run.

@@ -156,7 +156,6 @@ def _make_service(args) -> StabilityService:
     cache = ResultCache(cache_dir)
     return StabilityService(cache=cache, max_workers=args.workers,
                             backend=args.backend,
-                            persistent=not args.no_persistent_pool,
                             compiled_cache_size=args.compiled_cache,
                             pool_idle_timeout=args.pool_idle_timeout)
 
@@ -168,12 +167,8 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the result cache for this invocation")
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size (default: CPU count, capped at 8)")
-    parser.add_argument("--backend", choices=("process", "thread", "serial"),
+    parser.add_argument("--backend", choices=("process", "serial"),
                         default="process", help="batch execution backend")
-    parser.add_argument("--no-persistent-pool", action="store_true",
-                        help="tear the worker pool down after every batch "
-                             "instead of keeping workers (and their "
-                             "compiled-circuit caches) warm")
     parser.add_argument("--pool-idle-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="recycle idle persistent-pool workers after "
@@ -450,7 +445,6 @@ def cmd_serve(args) -> int:
     service = StabilityService(cache=ResultCache(cache_dir),
                                max_workers=args.workers,
                                backend=args.backend,
-                               persistent=not args.no_persistent_pool,
                                compiled_cache_size=args.compiled_cache,
                                pool_idle_timeout=args.pool_idle_timeout)
     gateway = StabilityGateway(service,
@@ -587,10 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="engine pool size (default: CPU count, capped "
                             "at 8)")
-    serve.add_argument("--backend", choices=("process", "thread", "serial"),
+    serve.add_argument("--backend", choices=("process", "serial"),
                        default="process", help="batch execution backend")
-    serve.add_argument("--no-persistent-pool", action="store_true",
-                       help="tear the worker pool down after every batch")
     serve.add_argument("--pool-idle-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="recycle idle pool workers after this many "

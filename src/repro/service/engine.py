@@ -1,11 +1,10 @@
-"""Batch execution engine: request fan-out over a process pool.
+"""Batch execution engine: request fan-out over a warm process pool.
 
-The thread-pool :class:`~repro.tool.jobs.JobRunner` helps when numpy
-releases the GIL inside the dense solves, but the per-node bookkeeping
-around the solves is pure Python and serialises on the GIL.  The
-:class:`BatchEngine` therefore fans independent requests out over a
-``ProcessPoolExecutor`` by default — each worker process runs the full
-analysis for one or more requests and ships the serialized
+The per-node bookkeeping around the solves is pure Python and serialises
+on the GIL, so the :class:`BatchEngine` fans independent requests out
+over the long-lived :class:`~repro.service.pool.WorkerPool` — each
+worker process runs the full analysis for one or more requests and
+ships the serialized
 :class:`~repro.service.requests.AnalysisResponse` objects back.
 
 Scenario batches are **grouped by circuit structure**: requests sharing a
@@ -13,10 +12,10 @@ Scenario batches are **grouped by circuit structure**: requests sharing a
 (same topology, different variables/temperature) are chunked together so
 each worker compiles the circuit once
 (:class:`~repro.analysis.compiled.CompiledCircuit`) and only restamps
-values per sample.  Groups are split into at most ``max_workers`` chunks
-so a single-topology Monte Carlo batch still saturates the pool, and a
-process-local compiled-structure cache catches reuse across chunks that
-land on the same worker.
+values per sample.  Groups are cut into about ``STEAL_FACTOR`` tasks per
+worker on one shared queue, so a single-topology Monte Carlo batch still
+saturates the pool, and a process-local compiled-structure cache catches
+reuse across chunks that land on the same worker.
 
 One tier above the pool sits the **mode-aware in-process fast path**:
 when a structure-fingerprint group consists of ``op``/``ac``/
@@ -50,12 +49,12 @@ per-request path without disturbing its batchmates.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import pickle
 import threading
 import time
 import traceback
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -109,13 +108,14 @@ __all__ = ["BatchEngine", "execute_linear_batch", "execute_request",
 #: Progress callback: ``f(completed_count, total_count, response)``.
 ProgressCallback = Callable[[int, int, AnalysisResponse], None]
 
-_BACKENDS = ("process", "thread", "serial")
+_BACKENDS = ("process", "serial")
 
 #: Process-local cache: structure fingerprint -> compiled circuit.  Each
 #: pool worker keeps the few most recent topologies compiled so repeated
 #: samples of one Monte Carlo sweep skip the structural pass entirely.
-#: The lock matters for the thread pool backend, where concurrent LRU
-#: bookkeeping would otherwise race.
+#: The lock matters in the parent process, where the gateway's job
+#: dispatcher threads run the in-process fast path concurrently and
+#: their LRU bookkeeping would otherwise race.
 _COMPILED_CACHE: "OrderedDict[str, CompiledCircuit]" = OrderedDict()
 _COMPILED_CACHE_LOCK = threading.Lock()
 
@@ -466,29 +466,21 @@ def _execute_request_inner(request: AnalysisRequest) -> AnalysisResponse:
 
 
 def execute_request_chunk(requests: Sequence[AnalysisRequest]
-                          ) -> Tuple[List[AnalysisResponse], dict]:
+                          ) -> List[AnalysisResponse]:
     """Run a same-structure chunk of requests in this process, in order.
 
     Pickled to a pool worker as one task: the first request compiles the
     shared circuit structure (into the process-local cache), the rest
     restamp.  Per-request failure isolation is preserved —
-    :func:`execute_request` never raises.
-
-    Returns ``(responses, metric_delta)``: the delta is what this chunk
-    added to the executing process's metric registry (snapshot-after
-    minus snapshot-before, see :func:`~repro.obs.metrics.
-    subtract_snapshots`), including one ``engine.chunk_seconds``
-    observation for the chunk's wall time.  Process-pool workers used to
-    drop their solver/cache counters on the floor; the parent engine now
-    folds these deltas back in (:meth:`BatchEngine._run_pool`).
+    :func:`execute_request` never raises.  The chunk's wall time is
+    observed as ``engine.chunk_seconds``; the pool worker ships it home
+    in the task's metric delta like every other counter.
     """
-    registry = global_registry()
-    before = registry.snapshot()
     started = time.perf_counter()
     responses = [execute_request(request) for request in requests]
-    registry.histogram("engine.chunk_seconds").observe(
+    global_registry().histogram("engine.chunk_seconds").observe(
         time.perf_counter() - started)
-    return responses, subtract_snapshots(registry.snapshot(), before)
+    return responses
 
 
 def _batch_op_result(batch: BatchStampState, names: Sequence[str],
@@ -725,24 +717,28 @@ class _ShmGroupPlan:
 class BatchEngine:
     """Fans a batch of requests out over a local worker pool.
 
+    A run takes three routes: same-structure groups go through the
+    in-process batch kernel (:func:`execute_linear_batch`); what is left
+    runs in-line through :func:`execute_request` on the serial backend
+    (or when a single request is left), and otherwise as solve and
+    chunk tasks on the :class:`~repro.service.pool.WorkerPool`.
+
     Parameters
     ----------
     max_workers:
         Pool size; defaults to the CPU count (capped at 8 — the analyses
         are memory-bandwidth-bound well before that).
     backend:
-        "process" (default) bypasses the GIL entirely, "thread" avoids the
-        process spawn cost for tiny batches, "serial" runs in-line (useful
-        for debugging: breakpoints and profilers see the analysis frames).
+        "process" (default) bypasses the GIL entirely, "serial" runs
+        in-line (useful for debugging: breakpoints and profilers see the
+        analysis frames).
     persistent:
-        On the process backend (only), keep a warm
-        :class:`~repro.service.pool.WorkerPool` across ``run()`` calls:
-        workers (and their compiled-circuit LRUs) survive between
-        batches, same-structure groups move through the zero-copy
-        shared-memory transport, and tasks are work-stealing scheduled.
-        ``False`` restores the per-run executor (the cold baseline).
-        Call :meth:`close` — or use the engine as a context manager —
-        to stop the workers and unlink the shared memory.
+        Keep the :class:`~repro.service.pool.WorkerPool` warm across
+        ``run()`` calls: workers (and their compiled-circuit LRUs)
+        survive between batches.  Call :meth:`close` — or use the
+        engine as a context manager — to stop the workers and unlink
+        the shared memory.  ``False`` starts a pool for each run that
+        needs one and closes it before the run returns.
     compiled_cache_size:
         Per-process compiled-structure LRU size, applied to this
         engine's in-process fast path and shipped to every pool worker
@@ -768,12 +764,13 @@ class BatchEngine:
             raise ToolError("compiled_cache_size must be at least 1")
         self.max_workers = int(max_workers)
         self.backend = backend
-        self.persistent = bool(persistent) and backend == "process"
+        self.persistent = bool(persistent)
         self.compiled_cache_size = (int(compiled_cache_size)
                                     if compiled_cache_size is not None
                                     else None)
         self.pool_idle_timeout = pool_idle_timeout
         self._pool: Optional[WorkerPool] = None
+        self._release_pool: Optional[weakref.finalize] = None
         self._pool_lock = threading.Lock()
         #: Telemetry of the most recent :meth:`run` (None before any).
         self.last_report: Optional[EngineReport] = None
@@ -793,26 +790,34 @@ class BatchEngine:
         """The persistent worker pool (``None`` until first needed)."""
         return self._pool
 
+    def _new_pool(self) -> WorkerPool:
+        return WorkerPool(self.max_workers,
+                          compiled_cache_size=self.compiled_cache_size,
+                          idle_timeout=self.pool_idle_timeout)
+
     def _ensure_pool(self) -> WorkerPool:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = WorkerPool(
-                    self.max_workers,
-                    compiled_cache_size=self.compiled_cache_size,
-                    idle_timeout=self.pool_idle_timeout)
+                self._pool = self._new_pool()
+                # An engine dropped without close() can never reach its
+                # pool again: close it then, rather than strand the
+                # workers and the structure store's shared memory.
+                self._release_pool = weakref.finalize(self, self._pool.close)
             return self._pool
 
     def close(self) -> None:
         """Stop the persistent pool and unlink its shared memory.
 
         Idempotent; the engine remains usable — a later :meth:`run`
-        lazily builds a fresh pool.  Non-persistent engines have nothing
-        to release, so this is always safe to call.
+        lazily builds a fresh pool.  Non-persistent engines close their
+        pool inside each run, so this is always safe to call.  An engine
+        that is garbage-collected without it closes its pool then.
         """
         with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+            self._pool = None
+            release, self._release_pool = self._release_pool, None
+        if release is not None:
+            release()
 
     def __enter__(self) -> "BatchEngine":
         return self
@@ -832,14 +837,14 @@ class BatchEngine:
         batched kernel
         (:func:`execute_linear_batch` — one vectorized restamp + one
         batched solve for the whole group, bypassing per-request pool
-        dispatch); everything else goes down the configured per-request
-        path.  Failures (analysis errors, worker crashes, poisoned batch
-        samples) never abort the batch — the affected request yields a
-        ``status="failed"`` response.
+        dispatch); everything else runs in-line on the serial backend
+        and on the worker pool otherwise.  Failures (analysis errors,
+        worker crashes, poisoned batch samples) never abort the batch —
+        the affected request yields a ``status="failed"`` response.
 
         Every run leaves its telemetry in :attr:`last_report` — request
         dispatch counts, pool chunk timings, the metric deltas shipped
-        home by process-pool workers, and the parent registry delta over
+        home by pool workers, and the parent registry delta over
         the whole run (see :class:`~repro.obs.report.EngineReport`).
         """
         requests = list(requests)
@@ -962,30 +967,6 @@ class BatchEngine:
             return request.netlist_text_hash()
         return ("ungroupable", index)
 
-    def _chunk_by_structure(self, requests: Sequence[AnalysisRequest],
-                            indices: Optional[Sequence[int]] = None
-                            ) -> List[List[int]]:
-        """Group the given request indices (all of them by default) by
-        circuit structure, then split each group into at most
-        ``max_workers`` chunks.
-
-        Same-structure requests landing on one worker share a single
-        compile; splitting each group keeps every worker busy even when
-        the whole batch is one topology (the Monte Carlo case).
-        """
-        if indices is None:
-            indices = range(len(requests))
-        groups: "OrderedDict[object, List[int]]" = OrderedDict()
-        for index in indices:
-            groups.setdefault(self._group_key(requests[index], index),
-                              []).append(index)
-        chunks: List[List[int]] = []
-        for group in groups.values():
-            per_chunk = max(1, -(-len(group) // self.max_workers))
-            for start in range(0, len(group), per_chunk):
-                chunks.append(group[start:start + per_chunk])
-        return chunks
-
     def _steal_chunk_size(self, total: int) -> int:
         """Rows per work-stealing task: about ``STEAL_FACTOR`` tasks per
         worker, so the queue always has a tail for fast workers to drain."""
@@ -996,83 +977,6 @@ class BatchEngine:
                   report: Optional[EngineReport] = None) -> None:
         """Dispatch the given request indices over the worker pool.
 
-        On the persistent process backend this hands off to
-        :meth:`_run_persistent` (warm workers, shared-memory transport,
-        work-stealing queue).  Otherwise a per-run executor is built:
-        each chunk comes back as ``(responses, metric_delta)``.  On the
-        process backend the delta is the only surviving record of the
-        worker's solver/cache work, so it is folded into both the parent
-        registry and ``report.worker_metrics``; thread-pool chunks
-        already mutate the parent registry directly (one shared process),
-        so merging their deltas would double-count.
-        """
-        if self.persistent and self.backend == "process":
-            self._run_persistent(requests, indices, emit, report)
-            return
-        if self.backend == "process":
-            initargs = ()
-            initializer = None
-            if self.compiled_cache_size is not None:
-                initializer = set_compiled_cache_size
-                initargs = (self.compiled_cache_size,)
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=initializer,
-                initargs=initargs)
-        else:
-            executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.max_workers)
-        registry = global_registry()
-        with executor:
-            futures = {}
-            for chunk in self._chunk_by_structure(requests, indices):
-                future = executor.submit(execute_request_chunk,
-                                         [requests[i] for i in chunk])
-                futures[future] = chunk
-            if report is not None:
-                report.chunks = len(futures)
-            registry.counter("engine.chunks").inc(len(futures))
-            for future in concurrent.futures.as_completed(futures):
-                chunk = futures[future]
-                try:
-                    chunk_responses, delta = future.result()
-                except Exception as exc:
-                    # Transport-level failure (worker killed, payload not
-                    # picklable): isolate it to this chunk's requests, and
-                    # keep the failed responses correlatable by computing
-                    # each request's fingerprint (guardedly).
-                    failure_traceback = traceback.format_exc()
-                    chunk_responses = [
-                        AnalysisResponse(
-                            fingerprint=_safe_fingerprint(requests[index]),
-                            mode=requests[index].mode,
-                            status="failed", label=requests[index].label,
-                            error=f"worker failure: {exc}",
-                            traceback=failure_traceback)
-                        for index in chunk]
-                    delta = None
-                if delta is not None and self.backend == "process":
-                    registry.merge(delta)
-                    if report is not None:
-                        report.add_worker_delta(delta)
-                if report is not None and delta is not None:
-                    chunk_hist = delta.get("histograms", {}).get(
-                        "engine.chunk_seconds")
-                    # Worker-measured wall time; on the thread backend a
-                    # concurrent chunk can land in the snapshot window,
-                    # in which case the reading is skipped (best effort).
-                    if chunk_hist and chunk_hist.get("count") == 1:
-                        report.chunk_seconds.append(chunk_hist["sum"])
-                for index, response in zip(chunk, chunk_responses):
-                    emit(index, response)
-
-    # ------------------------------------------------------------------
-    # Persistent pool: warm workers + zero-copy transport + work stealing
-    # ------------------------------------------------------------------
-    def _run_persistent(self, requests: Sequence[AnalysisRequest],
-                        indices: Sequence[int], emit,
-                        report: Optional[EngineReport] = None) -> None:
-        """Dispatch over the long-lived :class:`WorkerPool`.
-
         Structure groups eligible for the batch kernel travel the
         zero-copy shared-memory transport (:meth:`_plan_shm_group`):
         the circuit ships content-addressed through the pool's
@@ -1081,36 +985,39 @@ class BatchEngine:
         else falls back to pickled request chunks
         (:func:`execute_request_chunk`) on the same work-stealing queue.
         Either way the group is cut into ``~STEAL_FACTOR`` tasks per
-        worker so fast workers drain the tail.
+        worker so fast workers drain the tail.  Every task's metric
+        delta is folded into the parent registry and
+        ``report.worker_metrics``.  A non-persistent engine runs on a
+        pool of its own that is closed before this returns.
         """
-        pool = self._ensure_pool()
+        pool = self._ensure_pool() if self.persistent else self._new_pool()
         registry = global_registry()
         tasks: List[Tuple[str, object]] = []
         handlers: List[tuple] = []
         plans: List[_ShmGroupPlan] = []
-        groups: "OrderedDict[object, List[int]]" = OrderedDict()
-        for index in indices:
-            groups.setdefault(self._group_key(requests[index], index),
-                              []).append(index)
-        for group in groups.values():
-            plan = None
-            if len(group) >= self.BATCH_FASTPATH_MIN:
-                plan = self._plan_shm_group(requests, group, pool)
-            if plan is not None:
-                plans.append(plan)
-                for slot in range(len(plan.ranges)):
-                    tasks.append((TASK_SOLVE, plan.descriptor(slot)))
-                    handlers.append(("solve", plan, slot))
-                continue
-            per_chunk = self._steal_chunk_size(len(group))
-            for start in range(0, len(group), per_chunk):
-                chunk = group[start:start + per_chunk]
-                tasks.append((TASK_CHUNK, [requests[i] for i in chunk]))
-                handlers.append(("chunk", chunk))
-        if report is not None:
-            report.chunks = len(tasks)
-        registry.counter("engine.chunks").inc(len(tasks))
         try:
+            groups: "OrderedDict[object, List[int]]" = OrderedDict()
+            for index in indices:
+                groups.setdefault(self._group_key(requests[index], index),
+                                  []).append(index)
+            for group in groups.values():
+                plan = None
+                if len(group) >= self.BATCH_FASTPATH_MIN:
+                    plan = self._plan_shm_group(requests, group, pool)
+                if plan is not None:
+                    plans.append(plan)
+                    for slot in range(len(plan.ranges)):
+                        tasks.append((TASK_SOLVE, plan.descriptor(slot)))
+                        handlers.append(("solve", plan, slot))
+                    continue
+                per_chunk = self._steal_chunk_size(len(group))
+                for start in range(0, len(group), per_chunk):
+                    chunk = group[start:start + per_chunk]
+                    tasks.append((TASK_CHUNK, [requests[i] for i in chunk]))
+                    handlers.append(("chunk", chunk))
+            if report is not None:
+                report.chunks = len(tasks)
+            registry.counter("engine.chunks").inc(len(tasks))
             for position, outcome in pool.run_tasks(tasks):
                 if outcome.delta is not None:
                     registry.merge(outcome.delta)
@@ -1127,6 +1034,8 @@ class BatchEngine:
         finally:
             for plan in plans:
                 plan.release()
+            if not self.persistent:
+                pool.close()
 
     def _plan_shm_group(self, requests: Sequence[AnalysisRequest],
                         group: Sequence[int],

@@ -12,8 +12,8 @@ structural compile entirely.
 Scheduling is **work stealing by construction**: every task goes into
 one shared queue and whichever worker frees up first takes the next one,
 so a dense/sparse mix or a straggler chunk cannot idle the rest of the
-pool (the old path pre-split each structure group into ``max_workers``
-fixed chunks).  Two task kinds exist:
+pool.  Two task kinds exist, and for both the worker ships home what the
+task added to its metric registry:
 
 * ``TASK_CHUNK`` — a pickled list of requests, executed by
   :func:`~repro.service.engine.execute_request_chunk` (the fallback
@@ -139,10 +139,10 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         try:
             before = registry.snapshot()
             if kind == TASK_CHUNK:
-                outcome, delta = _engine.execute_request_chunk(payload)
+                outcome = _engine.execute_request_chunk(payload)
             else:
                 outcome = _engine.execute_solve_task(payload)
-                delta = subtract_snapshots(registry.snapshot(), before)
+            delta = subtract_snapshots(registry.snapshot(), before)
             result_queue.put(("done", task_id, worker_id, outcome, delta))
         except BaseException as exc:  # noqa: BLE001 - full isolation
             try:
@@ -188,6 +188,10 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
         self._lock = threading.RLock()
+        #: Held for a whole run_tasks() call: the inbox is shared, so a
+        #: concurrent run would take the other's results as stale and
+        #: drop them, leaving both waiting forever.
+        self._dispatch_lock = threading.Lock()
         self._workers: Dict[int, multiprocessing.Process] = {}
         self._worker_queues: Dict[int, object] = {}
         self._next_worker_id = 0
@@ -295,10 +299,15 @@ class WorkerPool:
         re-dispatch budget is spent — ``lost``).  Task ids are globally
         unique across the pool's lifetime, so a stale message from a
         previous run's re-dispatched duplicate is counted and dropped,
-        never double-delivered.
+        never double-delivered.  Calls from several threads take turns.
         """
         if not tasks:
             return
+        with self._dispatch_lock:
+            yield from self._dispatch(tasks)
+
+    def _dispatch(self, tasks: Sequence[Tuple[str, object]]
+                  ) -> Iterator[Tuple[int, TaskOutcome]]:
         with self._lock:
             self.ensure_started()
             self._running = True

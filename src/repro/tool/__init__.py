@@ -1,12 +1,13 @@
-"""Push-button tool layer: sessions, corners, job control, diagnostics.
+"""Push-button tool layer: sessions, corners, diagnostics.
 
 This package mirrors the architecture blocks of the paper's Fig. 6 that
 sit around the core method: GUI/procedural flow control (here the
 :class:`StabilityAnalysisTool` API), simulation-environment setup
-(:class:`SimulationEnvironment`), job control (:class:`JobRunner`), report
-generation (delegated to :mod:`repro.core.report`), error handling and
-remote notification (:class:`DiagnosticLog`), plus the corner and
-temperature sweeps listed as features in development.
+(:class:`SimulationEnvironment`), report generation (delegated to
+:mod:`repro.core.report`), error handling and remote notification
+(:class:`DiagnosticLog`), plus the corner and temperature sweeps listed
+as features in development.  Job control for batches lives in the
+service layer (:class:`~repro.service.BatchEngine`).
 """
 
 from repro.tool.corners import (
@@ -18,7 +19,6 @@ from repro.tool.corners import (
     temperature_sweep,
 )
 from repro.tool.diagnostics import DiagnosticLog, DiagnosticRecord
-from repro.tool.jobs import Job, JobResult, JobRunner
 from repro.tool.session import SessionState, SimulationEnvironment
 from repro.tool.tool import StabilityAnalysisTool, ToolRun
 
@@ -33,9 +33,6 @@ __all__ = [
     "run_corners",
     "temperature_sweep",
     "format_corner_table",
-    "Job",
-    "JobResult",
-    "JobRunner",
     "DiagnosticLog",
     "DiagnosticRecord",
 ]

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.core.all_nodes import AllNodesOptions, AllNodesResult, analyze_all_nodes
-from repro.tool.jobs import Job, JobRunner
+from repro.exceptions import ToolError
 
 __all__ = ["Corner", "CornerResult", "run_corners", "temperature_sweep",
            "default_corners"]
@@ -82,33 +82,36 @@ def _run_one(circuit: Circuit, corner: Corner,
 
 
 def run_corners(circuit: Circuit, corners: Sequence[Corner],
-                options: Optional[AllNodesOptions] = None,
-                max_workers: int = 1) -> List[CornerResult]:
-    """Run the all-nodes analysis for every corner.
+                options: Optional[AllNodesOptions] = None
+                ) -> List[CornerResult]:
+    """Run the all-nodes analysis for every corner, in order.
 
-    ``max_workers > 1`` dispatches the corners onto the local thread-pool
-    "farm" (each corner is an independent simulation).
+    A corner that fails yields a :class:`CornerResult` carrying the error
+    instead of aborting the rest.  Corner names key the results, so
+    they must be unique.
     """
-    jobs = [Job(name=corner.name, target=_run_one,
-                args=(circuit, corner, options)) for corner in corners]
-    runner = JobRunner(max_workers=max_workers, continue_on_error=True)
-    outcomes = runner.run(jobs)
+    names = [corner.name for corner in corners]
+    if len(set(names)) != len(names):
+        raise ToolError("corner names must be unique within a run")
     results: List[CornerResult] = []
-    for corner, outcome in zip(corners, outcomes):
-        if outcome.ok:
-            results.append(CornerResult(corner=corner, result=outcome.result))
+    for corner in corners:
+        try:
+            result = _run_one(circuit, corner, options)
+        except Exception as exc:
+            results.append(CornerResult(corner=corner, result=None,
+                                        error=str(exc)))
         else:
-            results.append(CornerResult(corner=corner, result=None, error=outcome.error))
+            results.append(CornerResult(corner=corner, result=result))
     return results
 
 
 def temperature_sweep(circuit: Circuit, temperatures: Sequence[float],
-                      options: Optional[AllNodesOptions] = None,
-                      max_workers: int = 1) -> List[CornerResult]:
+                      options: Optional[AllNodesOptions] = None
+                      ) -> List[CornerResult]:
     """The in-tool TEMP sweep: one corner per temperature."""
     corners = [Corner(name=f"T={temp:g}C", temperature=float(temp))
                for temp in temperatures]
-    return run_corners(circuit, corners, options=options, max_workers=max_workers)
+    return run_corners(circuit, corners, options=options)
 
 
 def format_corner_table(results: Sequence[CornerResult]) -> str:

@@ -162,12 +162,11 @@ class StabilityAnalysisTool:
     # Corners and sweeps ("features in development" in the paper)
     # ------------------------------------------------------------------
     def run_corners(self, circuit: Circuit, corners: Sequence[Corner],
-                    max_workers: int = 1, **options) -> ToolRun:
+                    **options) -> ToolRun:
         """Run the all-nodes analysis across a set of corners."""
         self.environment.import_variables_from(circuit)
         run_options = self._all_nodes_options(**options)
-        results = run_corners(circuit, corners, options=run_options,
-                              max_workers=max_workers)
+        results = run_corners(circuit, corners, options=run_options)
         for outcome in results:
             if not outcome.ok:
                 self.diagnostics.error("corners", f"corner {outcome.corner.name!r} failed",
@@ -179,12 +178,11 @@ class StabilityAnalysisTool:
         return run
 
     def run_temperature_sweep(self, circuit: Circuit, temperatures: Sequence[float],
-                              max_workers: int = 1, **options) -> ToolRun:
+                              **options) -> ToolRun:
         """Run the all-nodes analysis across a list of temperatures."""
         self.environment.import_variables_from(circuit)
         run_options = self._all_nodes_options(**options)
-        results = temperature_sweep(circuit, temperatures, options=run_options,
-                                    max_workers=max_workers)
+        results = temperature_sweep(circuit, temperatures, options=run_options)
         report = format_corner_table(results)
         run = ToolRun(mode="temperature-sweep", report=report,
                       corner_results=list(results), diagnostics=self.diagnostics)

@@ -18,7 +18,9 @@ from repro.exceptions import ConvergenceError
 from repro.obs.metrics import (
     assert_snapshot_schema,
     empty_snapshot,
+    global_registry,
     merge_snapshots,
+    subtract_snapshots,
 )
 from repro.obs.report import REPORT_SCHEMA_VERSION, EngineReport
 from repro.obs.trace import Tracer, use_tracer
@@ -50,10 +52,15 @@ def _nonzero_factorizations(snapshot):
 
 class TestChunkDeltas:
     def test_chunk_ships_its_metric_delta(self):
+        # A pool worker ships home exactly this registry delta: what the
+        # chunk added, chunk wall time included.
         requests = [AnalysisRequest(netlist=RLC_NETLIST, label="a"),
                     AnalysisRequest(netlist=RLC_NETLIST, temperature=85.0,
                                     label="b")]
-        responses, delta = execute_request_chunk(requests)
+        registry = global_registry()
+        before = registry.snapshot()
+        responses = execute_request_chunk(requests)
+        delta = subtract_snapshots(registry.snapshot(), before)
         assert [r.ok for r in responses] == [True, True]
         assert_snapshot_schema(delta)
         assert delta["counters"]["engine.requests"] == 2
@@ -135,26 +142,29 @@ class TestEngineRunTelemetry:
         assert report.chunk_seconds
         assert all(s > 0.0 for s in report.chunk_seconds)
 
-    def test_thread_backend_does_not_double_count(self):
-        # Thread-pool chunks mutate the parent registry directly, so
-        # their deltas must NOT be merged a second time.  dc-sweep mode
-        # keeps the requests on the per-request pool path (every
-        # batchable mode now runs the in-process kernel instead).
-        engine = BatchEngine(max_workers=2, backend="thread")
-        responses = engine.run([
-            AnalysisRequest(netlist=RLC_NETLIST, mode="dc-sweep",
-                            node="tank", dc_variable="rval",
-                            dc_start=500.0, dc_stop=2000.0, dc_points=4,
-                            label="a"),
-            AnalysisRequest(netlist=RLC_NETLIST, mode="dc-sweep",
-                            node="tank", dc_variable="rval",
-                            dc_start=500.0, dc_stop=2000.0, dc_points=4,
-                            temperature=85.0, label="b")])
+    def test_pool_deltas_are_counted_once(self):
+        # Every pool task ships exactly one registry delta and the parent
+        # merges it once: the run totals equal what the workers did.
+        # dc-sweep mode keeps the requests on the pickled-chunk path.
+        requests = [AnalysisRequest(netlist=RLC_NETLIST, mode="dc-sweep",
+                                    node="tank", dc_variable="rval",
+                                    dc_start=500.0, dc_stop=2000.0,
+                                    dc_points=4, temperature=float(t),
+                                    label=f"t{t}")
+                    for t in (0, 85)]
+        registry = global_registry()
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            before = registry.snapshot()
+            responses = engine.run(requests)
+            delta = subtract_snapshots(registry.snapshot(), before)
         assert all(r.ok for r in responses)
         report = engine.last_report
-        assert report.worker_metrics == empty_snapshot()
+        assert report.worker_metrics["counters"]["engine.requests"] == 2
         assert report.counter("engine.requests") == 2
-        assert _nonzero_factorizations(report.run_metrics)
+        assert delta["counters"]["engine.requests"] == 2
+        chunk_hist = report.worker_metrics["histograms"]["engine.chunk_seconds"]
+        assert chunk_hist["count"] == report.chunks == len(report.chunk_seconds)
+        assert _nonzero_factorizations(report.worker_metrics)
 
     def test_serial_fastpath_report(self):
         engine = BatchEngine(backend="serial")

@@ -162,10 +162,10 @@ class TestBatchedOpGroups:
         # number of engine requests for this workload.
         fast_engine = BatchEngine(backend="serial")
         fast_engine.run(requests)
-        pool_engine = BatchEngine(backend="thread", max_workers=2)
         lone = [AnalysisRequest(mode="op", circuit=circuit,
                                 variables={"vcm": 2.48})]
-        pool_engine.run(lone)   # single request -> per-request path
+        with BatchEngine(backend="process", max_workers=2) as pool_engine:
+            pool_engine.run(lone)   # single request -> per-request path
         assert fast_engine.last_report.fastpath_requests == len(requests)
         assert pool_engine.last_report.fastpath_requests == 0
         assert pool_engine.last_report.counter("engine.requests") == 1

@@ -204,16 +204,16 @@ class TestBatchEngine:
     def test_empty_batch(self):
         assert BatchEngine(backend="serial").run([]) == []
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_order_and_isolation(self, backend):
-        engine = BatchEngine(max_workers=2, backend=backend)
         requests = [
             AnalysisRequest(netlist=RLC_NETLIST, label="good-1"),
             AnalysisRequest(netlist=BROKEN_NETLIST, label="bad"),
             AnalysisRequest(netlist=RLC_NETLIST, label="good-2",
                             temperature=85.0),
         ]
-        responses = engine.run(requests)
+        with BatchEngine(max_workers=2, backend=backend) as engine:
+            responses = engine.run(requests)
         assert [r.label for r in responses] == ["good-1", "bad", "good-2"]
         assert [r.ok for r in responses] == [True, False, True]
         assert responses[1].traceback is not None
@@ -262,28 +262,56 @@ class TestStructureGrouping:
         # JSON round-trips still work: the netlist rides along.
         assert requests[0].to_dict()["netlist"] == RLC_NETLIST
 
-    def test_chunking_groups_by_structure_and_splits_for_workers(self):
-        engine = BatchEngine(max_workers=2, backend="thread")
-        design = parallel_rlc()
-        same = [AnalysisRequest(circuit=design.circuit,
-                                temperature=float(t)) for t in range(6)]
-        other = [AnalysisRequest(netlist=RLC_NETLIST)]
-        chunks = engine._chunk_by_structure(same + other)
-        flattened = sorted(i for chunk in chunks for i in chunk)
-        assert flattened == list(range(7))
+    def test_chunking_groups_by_structure_and_splits_for_workers(self, monkeypatch):
+        import dataclasses
+
+        import repro.service.engine as engine_module
+
+        real_chunk = engine_module.execute_request_chunk
+
+        def tagging_chunk(chunk):
+            # Each response comes home tagged with its chunk's labels.
+            members = "+".join(request.label for request in chunk)
+            return [dataclasses.replace(response, label=f"{response.label}@{members}")
+                    for response in real_chunk(chunk)]
+
+        # One task per worker per group; patched before the pool starts,
+        # so the forked workers inherit it.
+        monkeypatch.setattr(BatchEngine, "STEAL_FACTOR", 1)
+        monkeypatch.setattr(engine_module, "execute_request_chunk", tagging_chunk)
+
+        def dc_sweep(netlist, temperature, label):
+            # dc-sweep keeps the requests on the pickled-chunk path.
+            return AnalysisRequest(netlist=netlist, mode="dc-sweep", node="tank",
+                                   dc_variable="rval", dc_start=500.0,
+                                   dc_stop=2000.0, dc_points=4,
+                                   temperature=temperature, label=label)
+
+        same = [dc_sweep(RLC_NETLIST, float(t), f"s{t}") for t in range(6)]
+        other = [dc_sweep(RLC_NETLIST.replace("1n", "2n"), 27.0, "other")]
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            responses = engine.run(same + other)
+            assert engine.last_report.chunks == 3
+        assert all(r.ok for r in responses)
         # The 6-sample topology splits over both workers; the lone
         # other-topology request gets its own chunk.
-        same_chunks = [c for c in chunks if set(c) <= set(range(6))]
-        assert len(same_chunks) == 2
-        assert all(len(c) == 3 for c in same_chunks)
+        assert [r.label for r in responses] == [
+            "s0@s0+s1+s2", "s1@s0+s1+s2", "s2@s0+s1+s2",
+            "s3@s3+s4+s5", "s4@s3+s4+s5", "s5@s3+s4+s5",
+            "other@other"]
 
-    def test_grouped_pool_results_match_serial(self):
+    def test_grouped_pool_results_match_serial(self, monkeypatch):
+        # Keep the same-structure group off the in-process batch kernel,
+        # so it reaches the warm pool as request chunks.
+        monkeypatch.setattr(BatchEngine, "BATCH_FASTPATH_MIN", 10 ** 9)
         serial = BatchEngine(backend="serial")
-        pooled = BatchEngine(max_workers=2, backend="thread")
         requests = [AnalysisRequest(netlist=RLC_NETLIST, temperature=float(t),
                                     label=f"t{t}") for t in (0, 27, 85)]
         a = serial.run(requests)
-        b = pooled.run(requests)
+        with BatchEngine(max_workers=2, backend="process") as pooled:
+            b = pooled.run(requests)
+            assert pooled.last_report.pool_requests == 3
+            assert pooled.last_report.chunks >= 2
         assert [r.label for r in b] == ["t0", "t27", "t85"]
         for ra, rb in zip(a, b):
             assert ra.ok and rb.ok
@@ -298,7 +326,6 @@ class TestStructureGrouping:
         request fingerprint, so they stay correlatable with the cache."""
         import repro.service.engine as engine_module
 
-        engine = BatchEngine(max_workers=2, backend="thread")
         # dc-sweep mode pins the requests to the chunked pool path — the
         # batchable modes (op/ac/all-nodes/single-node) would be served
         # by the in-process kernel and never reach the exploding chunk.
@@ -316,8 +343,10 @@ class TestStructureGrouping:
         def explode(chunk):
             raise RuntimeError("worker died")
 
+        # Patched before the pool starts, so the forked workers inherit it.
         monkeypatch.setattr(engine_module, "execute_request_chunk", explode)
-        responses = engine.run(requests)
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            responses = engine.run(requests)
         assert [r.ok for r in responses] == [False, False]
         assert [r.fingerprint for r in responses] == expected
         assert all("worker failure" in r.error for r in responses)
@@ -327,7 +356,6 @@ class TestStructureGrouping:
         failed response (empty fingerprint) instead of a crash."""
         import repro.service.engine as engine_module
 
-        engine = BatchEngine(max_workers=2, backend="thread")
         requests = [AnalysisRequest(netlist=RLC_NETLIST),
                     AnalysisRequest(netlist="broken\nR1\n.end\n")]
 
@@ -335,7 +363,8 @@ class TestStructureGrouping:
             raise RuntimeError("worker died")
 
         monkeypatch.setattr(engine_module, "execute_request_chunk", explode)
-        responses = engine.run(requests)
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            responses = engine.run(requests)
         assert [r.ok for r in responses] == [False, False]
         assert responses[0].fingerprint
         assert responses[1].fingerprint == ""

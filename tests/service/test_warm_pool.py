@@ -10,6 +10,7 @@ hygiene, and the configurable compiled-circuit cache.
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -144,6 +145,77 @@ class TestWarmReuse:
         assert all(r.ok for r in responses)
         assert engine.last_report.pool is None
 
+    def test_non_persistent_engine_closes_its_pool_after_each_run(self):
+        # Shared-memory solve tasks (the sparse ladder group) and pickled
+        # chunk tasks (dc-sweep) both run on a pool of the run's own.
+        requests = _ladder_requests(6) + [
+            AnalysisRequest(mode="dc-sweep", circuit=rc_ladder(8).circuit,
+                            node="n8", dc_variable="Vin", dc_start=0.0,
+                            dc_stop=1.0, dc_points=3, temperature=t,
+                            label=f"dc{t}")
+            for t in (0.0, 50.0)]
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            warm = [engine.run(requests) for _ in range(2)]
+        baseline = {p.pid for p in multiprocessing.active_children()}
+        engine = BatchEngine(max_workers=2, backend="process",
+                             persistent=False)
+        for want in warm:
+            got = engine.run(requests)
+            assert engine.pool is None
+            assert engine.last_report.pool_requests == len(requests)
+            assert engine.last_report.chunks >= 2
+            assert {p.pid for p in multiprocessing.active_children()} \
+                <= baseline
+            assert active_block_names() == []
+            assert all(r.ok for r in got), [r.error for r in got]
+            assert [r.result for r in got] == [r.result for r in want]
+
+    def test_dropped_engine_closes_its_pool(self):
+        engine = BatchEngine(max_workers=2, backend="process")
+        assert all(r.ok for r in engine.run(_ladder_requests(4)))
+        pids = set(engine.pool.worker_pids())
+        assert len(pids) == 2
+        assert active_block_names()          # the stored structure
+        del engine
+        assert active_block_names() == []
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
+
+    def test_restamp_heavy_warm_runs_match_serial(self):
+        """Temperature-dependent values on one topology, run after run:
+        the warm pool keeps one structure, fetches it at most once per
+        worker, never restarts, and agrees with the serial engine."""
+        builder = CircuitBuilder("tc ladder")
+        builder.voltage_source("in", "0", dc=1.0, name="V1")
+        previous = "in"
+        for index in range(1, 41):
+            builder.resistor(previous, f"n{index}", 1e3, name=f"R{index}",
+                             tc1=2e-4)
+            builder.capacitor(f"n{index}", "0", 1e-12, name=f"C{index}")
+            previous = f"n{index}"
+        builder.resistor(previous, "0", 1e3, name="Rload")
+        circuit = builder.build()
+        requests = [AnalysisRequest(mode="op", circuit=circuit,
+                                    temperature=-40.0 + 10.0 * index,
+                                    backend="sparse", label=f"s{index}")
+                    for index in range(16)]
+        serial = BatchEngine(backend="serial").run(requests)
+        fetches_before = _counter("transport.circuit_fetches")
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            for _ in range(3):
+                warm = engine.run(requests)
+            stats = engine.pool.stats()
+        assert stats["structures_stored"] == 1
+        assert _counter("transport.circuit_fetches") - fetches_before <= 2
+        assert stats["restarts"] == 0
+        assert all(r.ok for r in serial) and all(r.ok for r in warm)
+        x_serial = [np.asarray(r.result["x"]) for r in serial]
+        # The samples really differ: tc1 moves the divider's taps.
+        assert not np.allclose(x_serial[0], x_serial[-1], rtol=1e-6)
+        for got, want in zip(warm, x_serial):
+            x_got = np.asarray(got.result["x"])
+            scale = np.maximum(np.abs(want), 1.0)
+            assert np.max(np.abs(x_got - want) / scale) < 1e-9
+
     def test_close_is_idempotent_and_engine_restarts_lazily(self):
         requests = _ladder_requests(4)
         engine = BatchEngine(max_workers=2, backend="process")
@@ -157,6 +229,40 @@ class TestWarmReuse:
         finally:
             engine.close()
         assert active_block_names() == []
+
+
+class TestConcurrentRuns:
+    def test_two_threads_share_one_engine(self):
+        # Gateway dispatcher threads call run() on one engine at once;
+        # both runs' pool tasks must come home to the right caller.
+        circuit = rc_ladder(8).circuit
+
+        def batch(tag):
+            return [AnalysisRequest(mode="dc-sweep", circuit=circuit,
+                                    node="n8", dc_variable="Vin",
+                                    dc_start=0.0, dc_stop=1.0, dc_points=3,
+                                    temperature=float(t), label=f"{tag}{t}")
+                    for t in range(6)]
+
+        results = {}
+        stale_before = _counter("pool.stale_results")
+        with BatchEngine(max_workers=2, backend="process") as engine:
+            def work(tag):
+                results[tag] = [engine.run(batch(tag)) for _ in range(4)]
+
+            threads = [threading.Thread(target=work, args=(tag,), daemon=True)
+                       for tag in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert sorted(results) == ["a", "b"], "a run never finished"
+        for tag, runs in results.items():
+            for responses in runs:
+                assert [r.label for r in responses] == \
+                    [r.label for r in batch(tag)]
+                assert all(r.ok for r in responses)
+        assert _counter("pool.stale_results") == stale_before
 
 
 class TestCrashRecovery:

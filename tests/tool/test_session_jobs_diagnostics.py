@@ -1,8 +1,7 @@
-"""Tests for the session, job-control and diagnostics layers."""
+"""Tests for the session and diagnostics layers."""
 
 import json
 import os
-import time
 
 import pytest
 
@@ -11,8 +10,6 @@ from repro.circuits import parallel_rlc_for
 from repro.exceptions import ToolError
 from repro.tool import (
     DiagnosticLog,
-    Job,
-    JobRunner,
     SessionState,
     SimulationEnvironment,
 )
@@ -97,136 +94,6 @@ class TestSimulationEnvironment:
             "future_field": 123,
         }))
         assert state.name == "x"
-
-
-class TestJobRunner:
-    def test_serial_execution_order(self):
-        order = []
-
-        def work(tag):
-            order.append(tag)
-            return tag * 2
-
-        jobs = [Job(name=f"j{i}", target=work, args=(i,)) for i in range(5)]
-        results = JobRunner(max_workers=1).run(jobs)
-        assert order == [0, 1, 2, 3, 4]
-        assert [r.result for r in results] == [0, 2, 4, 6, 8]
-        assert all(r.ok for r in results)
-
-    def test_failure_isolation(self):
-        def sometimes_fail(i):
-            if i == 1:
-                raise RuntimeError("boom")
-            return i
-
-        jobs = [Job(name=f"j{i}", target=sometimes_fail, args=(i,)) for i in range(3)]
-        results = JobRunner().run(jobs)
-        assert [r.ok for r in results] == [True, False, True]
-        assert "boom" in results[1].error
-
-    def test_stop_on_first_error(self):
-        def fail(_):
-            raise RuntimeError("boom")
-
-        jobs = [Job(name=f"j{i}", target=fail, args=(i,)) for i in range(3)]
-        results = JobRunner(continue_on_error=False).run(jobs)
-        assert len(results) == 1
-
-    def test_thread_pool_returns_submission_order(self):
-        def work(i):
-            time.sleep(0.01 * (3 - i))
-            return i
-
-        jobs = [Job(name=f"j{i}", target=work, args=(i,)) for i in range(3)]
-        results = JobRunner(max_workers=3).run(jobs)
-        assert [r.name for r in results] == ["j0", "j1", "j2"]
-        assert [r.result for r in results] == [0, 1, 2]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_failure_isolation_serial_and_threaded(self, workers):
-        def sometimes_fail(i):
-            if i % 2 == 1:
-                raise ValueError(f"boom {i}")
-            return i
-
-        jobs = [Job(name=f"j{i}", target=sometimes_fail, args=(i,))
-                for i in range(6)]
-        results = JobRunner(max_workers=workers).run(jobs)
-        assert [r.ok for r in results] == [True, False] * 3
-        for result in results:
-            if not result.ok:
-                assert result.status == "failed"
-                assert "boom" in result.error
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_traceback_propagated(self, workers):
-        def fail():
-            raise KeyError("missing-node")
-
-        results = JobRunner(max_workers=workers).run(
-            [Job(name="a", target=fail), Job(name="b", target=lambda: 1)])
-        failed = results[0]
-        assert not failed.ok
-        assert failed.traceback is not None
-        assert "KeyError" in failed.traceback
-        assert "missing-node" in failed.traceback
-        assert "in fail" in failed.traceback          # the offending frame
-        assert results[1].traceback is None
-
-    def test_pool_abort_marks_cancelled(self):
-        import threading
-        release = threading.Event()
-
-        def fail_fast():
-            raise RuntimeError("boom")
-
-        def wait_for_release():
-            release.wait(timeout=5.0)
-            return "done"
-
-        # Two workers start on "blocker" and "fails"; the failure aborts
-        # the batch while the blockers keep both workers busy, so at
-        # least the deepest queued job must come back "cancelled" rather
-        # than silently vanish.  The release event fires from the
-        # progress callback once the cancellation is recorded, which
-        # also guarantees no worker can reach "queued2" first.
-        def progress(_done, _total, outcome):
-            if outcome.cancelled:
-                release.set()
-
-        jobs = [Job(name="blocker", target=wait_for_release),
-                Job(name="fails", target=fail_fast),
-                Job(name="queued1", target=wait_for_release),
-                Job(name="queued2", target=wait_for_release)]
-        runner = JobRunner(max_workers=2, continue_on_error=False)
-        results = runner.run(jobs, progress=progress)
-        release.set()
-        by_name = {r.name: r for r in results}
-        assert by_name["fails"].status == "failed"
-        cancelled = [r for r in results if r.cancelled]
-        assert cancelled, "aborted batch must report cancelled jobs"
-        assert by_name["queued2"].cancelled
-        for result in cancelled:
-            assert "cancelled after" in result.error
-            assert not result.ok
-
-    def test_duplicate_names_rejected(self):
-        jobs = [Job(name="same", target=lambda: 1), Job(name="same", target=lambda: 2)]
-        with pytest.raises(ToolError):
-            JobRunner().run(jobs)
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ToolError):
-            JobRunner(max_workers=0)
-
-    def test_progress_callback(self):
-        seen = []
-        jobs = [Job(name=f"j{i}", target=lambda i=i: i) for i in range(3)]
-        JobRunner().run(jobs, progress=lambda done, total, res: seen.append((done, total)))
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_empty_batch(self):
-        assert JobRunner().run([]) == []
 
 
 class TestDiagnostics:
