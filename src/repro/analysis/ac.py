@@ -550,10 +550,7 @@ def ac_analysis(circuit: Optional[Circuit],
         # structurally compatible) system; map values by variable name so
         # that extra elements (e.g. an injected AC current source) do not
         # disturb the bias point.
-        x_op = np.zeros(system.size)
-        for i, name in enumerate(system.variable_names):
-            if op.has(name):
-                x_op[i] = op.current(name) if name.startswith("#branch:") else op.voltage(name)
+        x_op = op.values_for(system.variable_names)
 
     form = "sparse" if system.backend.name == "sparse" else "dense"
     G_ss, C_ss = system.small_signal_matrices(x_op, form=form)

@@ -46,17 +46,10 @@ def pole_analysis(circuit: Circuit,
     system.stamp()
 
     if op is None:
-        if system.nonlinear_elements:
-            op = operating_point(circuit, options=options, system=system)
-            x_op = op.x
-        else:
-            op = operating_point(circuit, options=options, system=system)
-            x_op = op.x
+        op = operating_point(circuit, options=options, system=system)
+        x_op = op.x
     else:
-        x_op = np.zeros(system.size)
-        for i, name in enumerate(system.variable_names):
-            if op.has(name):
-                x_op[i] = op.current(name) if name.startswith("#branch:") else op.voltage(name)
+        x_op = op.values_for(system.variable_names)
 
     G, C = system.small_signal_matrices(x_op)
 

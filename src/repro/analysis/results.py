@@ -9,7 +9,7 @@ index arithmetic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +68,14 @@ class OPResult(_NamedVectorResult):
 
     def current(self, branch: str) -> float:
         return float(self.x[self._column(branch)])
+
+    def values_for(self, names: Sequence[str]) -> np.ndarray:
+        """This bias point on another system's unknowns ``names``, by
+        name; zero where it has no such variable (an injected stimulus,
+        say)."""
+        return np.array([self.x[self._positions[name]]
+                         if name in self._positions else 0.0
+                         for name in names])
 
     def voltages(self) -> Dict[str, float]:
         return {name: float(self.x[i]) for i, name in enumerate(self._variables)

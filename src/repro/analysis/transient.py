@@ -69,10 +69,7 @@ def transient_analysis(circuit: Circuit,
 
     if op is None:
         op = operating_point(circuit, options=options, system=system)
-    x0 = np.zeros(system.size)
-    for i, name in enumerate(system.variable_names):
-        if op.has(name):
-            x0[i] = op.current(name) if name.startswith("#branch:") else op.voltage(name)
+    x0 = op.values_for(system.variable_names)
 
     times = _time_grid(system, stop_time, time_step)
 

@@ -1,10 +1,10 @@
 """All-nodes stability analysis (the tool's "All Nodes" run mode).
 
-Runs the single-node analysis on every node of the circuit (the operating
-point is computed once and reused — injecting a zero-DC current source
-does not move the bias point), clusters the results into feedback loops
-and carries everything needed to print the Table-2 style report, annotate
-the circuit and compare against the black-box baselines.
+Screens the driving-point impedance of every node of the circuit (the
+operating point is computed once and reused — injecting a zero-DC
+current source does not move the bias point), clusters the results into
+feedback loops and carries everything needed to print the Table-2 style
+report, annotate the circuit and compare against the black-box baselines.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.core.single_node import (
     NodeStabilityResult,
     SingleNodeOptions,
     _pick_refined_peak,
-    analyze_node,
     build_node_result,
 )
 from repro.core.stability_plot import stability_plot, stability_plot_grid
@@ -63,15 +62,6 @@ class AllNodesOptions(SingleNodeOptions):
     loop_frequency_tolerance: float = 0.25
     #: Minimum |performance index| for a node to join a loop.
     loop_min_peak: float = 0.05
-    #: Optional progress callback ``f(index, total, node_name)``.
-    progress: Optional[Callable[[int, int, str], None]] = None
-    #: Continue with the remaining nodes when one node's analysis fails.
-    continue_on_error: bool = True
-    #: Use the shared-factorisation impedance solver (one LU per frequency
-    #: for all nodes) instead of one AC analysis per node.  Results are
-    #: numerically identical; the reference per-node path remains available
-    #: for cross-checking.
-    use_fast_solver: bool = True
 
 
 @dataclass
@@ -172,107 +162,34 @@ def analyze_all_nodes(circuit: Circuit,
                       compiled: Optional[CompiledCircuit] = None) -> AllNodesResult:
     """Run the stability analysis on every (eligible) node of ``circuit``.
 
+    The bias point is solved once (or ``op`` is used) and the circuit is
+    linearized there by an :class:`ImpedanceSweeper`; the screen is then
+    :func:`analyze_all_nodes_batch`'s, over that batch of one.  Per-node
+    failures land in ``failed_nodes``.
+
     ``compiled`` (a :class:`~repro.analysis.compiled.CompiledCircuit` of
     the flattened circuit) is the scenario-sweep fast path: the operating
-    point and the fast impedance sweeper reuse the compiled structure and
+    point and the impedance sweeper reuse the compiled structure and
     only restamp values — the batch service passes one per topology so
     Monte Carlo samples skip every structural rebuild.
     """
     options = options or AllNodesOptions()
     start = time.time()
 
-    flat = compiled.circuit if compiled is not None else circuit.flattened()
-    skipped: List[str] = []
-    if options.skip_source_driven_nodes:
-        skipped.extend(_source_driven_nodes(flat))
-    skipped.extend(circuit.resolve_node(n) for n in options.skip_nodes)
-    nodes = excitable_nodes(flat, include_internal=options.include_internal_nodes,
-                            skip_nodes=skipped)
-    if not nodes:
-        raise StabilityAnalysisError("no nodes eligible for stability analysis")
-
     if op is None:
-        op = operating_point(flat, temperature=options.temperature,
+        op = operating_point(circuit, temperature=options.temperature,
                              gmin=options.gmin, variables=options.variables,
                              options=options.newton_options(),
                              backend=options.backend,
                              compiled=compiled)
-
-    results: List[NodeStabilityResult] = []
-    failures: Dict[str, str] = {}
-    if options.use_fast_solver:
-        results, failures = _run_fast(flat, nodes, options, op,
-                                      compiled=compiled)
-    else:
-        total = len(nodes)
-        for index, node in enumerate(nodes, start=1):
-            if options.progress is not None:
-                options.progress(index, total, node)
-            try:
-                results.append(analyze_node(flat, node, options=options, op=op))
-            except Exception as exc:
-                if not options.continue_on_error:
-                    raise
-                failures[node] = str(exc)
-
-    loops = identify_loops(results,
-                           frequency_tolerance=options.loop_frequency_tolerance,
-                           min_peak_magnitude=options.loop_min_peak)
-
-    return AllNodesResult(
-        circuit_title=circuit.title,
-        results=results,
-        loops=loops,
-        skipped_nodes=sorted(set(skipped)),
-        failed_nodes=failures,
-        op=op,
-        elapsed_seconds=time.time() - start,
-        temperature=options.temperature,
-    )
-
-
-def _run_fast(flat: Circuit, nodes: List[str], options: AllNodesOptions,
-              op: OPResult, compiled: Optional[CompiledCircuit] = None):
-    """All-nodes run using the shared-factorisation impedance solver."""
-    results: List[NodeStabilityResult] = []
-    failures: Dict[str, str] = {}
-
-    sweeper = ImpedanceSweeper(flat, temperature=options.temperature,
+    sweeper = ImpedanceSweeper(circuit, temperature=options.temperature,
                                gmin=options.gmin, variables=options.variables,
                                op=op, newton=options.newton_options(),
                                backend=options.backend, compiled=compiled)
-    sweep = FrequencySweep.coerce(options.sweep)
-    coarse = sweeper.impedance_waveforms(nodes, sweep.frequencies)
-
-    # Refinement windows are shared between nodes: responses over a dense
-    # window are computed lazily, once per distinct centre frequency, for
-    # every node at the same time.
-    refine_cache: Dict[float, Dict[str, Waveform]] = {}
-
-    def refiner(node: str, center_hz: float, span_decades: float,
-                points_per_decade: int) -> Waveform:
-        key = round(math.log10(center_hz), 3)
-        if key not in refine_cache:
-            half_span = 10.0 ** (span_decades / 2.0)
-            window = log_sweep(center_hz / half_span, center_hz * half_span,
-                               points_per_decade)
-            refine_cache[key] = sweeper.impedance_waveforms(nodes, window)
-        return refine_cache[key][node].magnitude()
-
-    total = len(nodes)
-    for index, node in enumerate(nodes, start=1):
-        if options.progress is not None:
-            options.progress(index, total, node)
-        try:
-            response = coarse[node].magnitude()
-            response.name = f"|Z({node})|"
-            results.append(build_node_result(node, response, options, op=op,
-                                             refiner=refiner))
-        except Exception as exc:
-            if not options.continue_on_error:
-                raise
-            failures[node] = str(exc)
-    return results, failures
+    (result,) = _screen(circuit, [options], [op], sweeper, start)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def analyze_all_nodes_batch(circuit: Circuit,
@@ -284,13 +201,11 @@ def analyze_all_nodes_batch(circuit: Circuit,
 
     ``lin`` carries every sample's small-signal G/C planes over one shared
     pattern (:func:`repro.analysis.compiled.linearize_batch`);
-    ``options_rows`` and ``ops`` hold one entry per sample.  The node list
-    is structural, so it is computed once; the coarse sweep of every node
-    of every sample is then ONE ``(N, nodes, F)`` impedance-cube solve and
-    peak extraction runs as one vectorized :func:`find_peaks_grid` pass
-    per sample.  Only the refinement windows (whose frequencies depend on
-    each sample's own dominant peaks) fall back to scalar solves, with the
-    same per-centre-frequency cache as the scalar fast path.
+    ``options_rows`` and ``ops`` hold one entry per sample.  The coarse
+    sweep of every node of every sample is ONE ``(N, nodes, F)``
+    impedance-cube solve, peaks come from one :func:`find_peaks_grid`
+    pass per sample, and refinement windows are solved once for every
+    sample that asks for them (:func:`_prewarm_refinements`).
 
     Returns one :class:`AllNodesResult` per sample; samples whose
     linearization or AC solve failed yield their ``Exception`` instead
@@ -299,16 +214,27 @@ def analyze_all_nodes_batch(circuit: Circuit,
     row — batch groups share them by construction; per-sample fields
     (temperature, gmin, variables) are honoured per row.
     """
-    n_samples = len(lin)
+    start = time.time()
+    backend = options_rows[0].backend if options_rows else None
+    return _screen(circuit, options_rows, ops,
+                   BatchImpedanceSweeper(lin, backend=backend), start)
+
+
+def _screen(circuit: Circuit, options_rows: Sequence[AllNodesOptions],
+            ops: Sequence[Optional[OPResult]],
+            sweeper: BatchImpedanceSweeper,
+            start: float) -> List[Union[AllNodesResult, Exception]]:
+    """The all-nodes screen of every sample of ``sweeper``'s batch;
+    ``start`` (a ``time.time()``) is where ``elapsed_seconds`` begins."""
+    n_samples = sweeper.n_samples
     if len(options_rows) != n_samples or len(ops) != n_samples:
         raise StabilityAnalysisError(
             "options_rows and ops must have one entry per batch sample")
     if not options_rows:
         return []
     options0 = options_rows[0]
-    start = time.time()
 
-    flat = lin.compiled.circuit
+    flat = sweeper.compiled.circuit
     skipped: List[str] = []
     if options0.skip_source_driven_nodes:
         skipped.extend(_source_driven_nodes(flat))
@@ -319,7 +245,6 @@ def analyze_all_nodes_batch(circuit: Circuit,
         raise StabilityAnalysisError("no nodes eligible for stability analysis")
     skipped_sorted = sorted(set(skipped))
 
-    sweeper = BatchImpedanceSweeper(lin, backend=options0.backend)
     sweep = FrequencySweep.coerce(options0.sweep)
     freq = np.array(sweep.frequencies, dtype=float)
     cube, sample_failures = sweeper.impedance_cube(nodes, freq)
@@ -550,12 +475,13 @@ def _build_sample_result(circuit: Circuit, nodes: List[str],
                          start: float) -> AllNodesResult:
     """One sample's :class:`AllNodesResult` from its precomputed scan.
 
-    Mirrors :func:`_run_fast` exactly — same responses, same refinement
-    cache keyed on the rounded log-centre frequency, same per-node error
-    capture — except that the coarse plots and peaks arrive precomputed
-    from :func:`_scan_sample`, per-node dense-window refinements arrive
-    precomputed in ``refined`` and the refinement cache starts seeded
-    with the windows :func:`_prewarm_refinements` solved batch-wide.
+    The coarse plots and peaks arrive precomputed from
+    :func:`_scan_sample`, per-node dense-window refinements arrive
+    precomputed in ``refined``, and the refinement cache (keyed on the
+    rounded log-centre frequency) starts seeded with the windows
+    :func:`_prewarm_refinements` solved batch-wide.  Anything else
+    refines through this sample's own sweep; a node that fails is
+    recorded in ``failed_nodes``.
     """
     responses, plots, deferred, row_of, peak_rows = scan
 
@@ -587,8 +513,6 @@ def _build_sample_result(circuit: Circuit, nodes: List[str],
                                              plot=plots[column], peaks=peaks,
                                              refined=refined.get(node)))
         except Exception as exc:
-            if not options.continue_on_error:
-                raise
             failures[node] = str(exc)
 
     loops = identify_loops(results,

@@ -6,23 +6,27 @@ factorises the same ``(G + jwC)`` matrix at every frequency.  Because the
 matrix does not depend on where the current is injected — only the
 right-hand side does — one factorisation (or one QZ reduction) can serve
 all nodes at once, and the whole sweep is handed to the solver as one
-stacked batch (:func:`repro.analysis.ac.solve_ac_stacked`): one QZ
-reduction of the pencil and a triangular solve per frequency on the
-dense backend, one SuperLU factorization per frequency (shared by every
-injection column) on the sparse backend — see
-``docs/solver-backends.md``.  This gives results numerically
-identical to the one-node-at-a-time path (which the tests verify) at a
-fraction of the cost, and is the engine behind
-``AllNodesOptions(use_fast_solver=True)``.
+stacked batch (:func:`repro.analysis.ac.solve_ac_stacked_batch`): one QZ
+reduction of each sample's pencil and a triangular solve per frequency
+on the dense backend, one SuperLU factorization per frequency (shared by
+every injection column) on the sparse backend — see
+``docs/solver-backends.md``.  This gives results numerically identical
+to the one-node-at-a-time path (which the tests verify) at a fraction of
+the cost.
+
+:class:`BatchImpedanceSweeper` sweeps a whole linearized sample batch;
+:class:`ImpedanceSweeper` linearizes one circuit at its bias point and
+is that sweeper over a batch of one — the engine behind
+:func:`repro.core.all_nodes.analyze_all_nodes`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.ac import solve_ac_stacked, solve_ac_stacked_batch
+from repro.analysis.ac import solve_ac_stacked_batch
 from repro.analysis.compiled import BatchLinearization, CompiledCircuit
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
@@ -31,123 +35,17 @@ from repro.analysis.results import OPResult
 from repro.circuit.netlist import Circuit
 from repro.exceptions import StabilityAnalysisError
 from repro.linalg import resolve_backend
+from repro.linalg.triplets import CompiledPattern
 from repro.waveform.waveform import Waveform
 
 __all__ = ["BatchImpedanceSweeper", "ImpedanceSweeper"]
 
 
-class ImpedanceSweeper:
-    """Computes driving-point impedances of many nodes over a frequency sweep.
-
-    The circuit is copied, every existing AC stimulus is zeroed (the tool's
-    auto-zero feature) and the copy is linearised at its DC operating
-    point once.  Each call to :meth:`impedances` then costs one batched
-    complex solve over all frequencies regardless of how many nodes are
-    requested.
-
-    ``compiled`` (a :class:`~repro.analysis.compiled.CompiledCircuit` of
-    the flattened circuit) skips the per-scenario copy and structural
-    rebuild: the sweeper supplies its own injection right-hand sides and
-    never reads the stamped AC stimuli, so the auto-zero step is a no-op
-    for its results and the shared compiled structure can be restamped
-    directly — this is the Monte Carlo fast path (compile once per
-    topology, restamp per sample).
-    """
-
-    def __init__(self, circuit: Optional[Circuit],
-                 temperature: float = 27.0,
-                 gmin: float = 1e-12,
-                 variables: Optional[Dict[str, float]] = None,
-                 op: Optional[OPResult] = None,
-                 newton: Optional[NewtonOptions] = None,
-                 backend: Optional[str] = None,
-                 compiled: Optional[CompiledCircuit] = None):
-        if compiled is not None:
-            working = compiled.circuit
-        else:
-            flat = circuit.flattened()
-            working = flat.copy()
-            working.zero_all_ac_sources()
-
-        ctx = AnalysisContext(temperature=temperature, gmin=gmin,
-                              variables=dict(working.variables))
-        if variables:
-            ctx.update_variables(variables)
-        self._system = MNASystem(working, ctx, backend=backend,
-                                 compiled=compiled)
-        self._system.stamp()
-
-        if op is None:
-            op = operating_point(working, temperature=temperature,
-                                 variables=variables, options=newton,
-                                 system=self._system)
-        self.op = op
-
-        x_op = np.zeros(self._system.size)
-        for i, name in enumerate(self._system.variable_names):
-            if op.has(name):
-                x_op[i] = (op.current(name) if name.startswith("#branch:")
-                           else op.voltage(name))
-        self._backend = self._system.backend
-        form = "sparse" if self._backend.name == "sparse" else "dense"
-        self._G, self._C = self._system.small_signal_matrices(x_op, form=form)
-        self.temperature = temperature
-
-    # ------------------------------------------------------------------
-    @property
-    def node_names(self) -> List[str]:
-        return list(self._system.node_names)
-
-    def has_node(self, node: str) -> bool:
-        return node in self._system.node_names
-
-    # ------------------------------------------------------------------
-    def impedances(self, nodes: Sequence[str],
-                   frequencies: Sequence[float]) -> Dict[str, np.ndarray]:
-        """Complex driving-point impedance Z(node) over ``frequencies``.
-
-        Z is the voltage at the node in response to a unit AC current
-        injected into that same node with every other stimulus zeroed —
-        exactly what the single-node analysis measures.
-        """
-        nodes = list(nodes)
-        unknown = [n for n in nodes if not self.has_node(n)]
-        if unknown:
-            raise StabilityAnalysisError(f"nodes not present in the circuit: {unknown}")
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.ndim != 1 or len(freq) < 1:
-            raise StabilityAnalysisError("at least one frequency is required")
-
-        indices = [self._system.index_of(n) for n in nodes]
-        n_unknowns = self._system.size
-        rhs = np.zeros((n_unknowns, len(nodes)), dtype=complex)
-        for column, index in enumerate(indices):
-            rhs[index, column] = 1.0
-
-        # One solve over all frequencies and all injection columns, kept
-        # to the diagonal entries: Z(node_c) is solution[k, i_c, c].
-        data = solve_ac_stacked(self._G, self._C, rhs, freq,
-                                backend=self._backend,
-                                names=self._system.variable_names,
-                                select=list(zip(indices, range(len(nodes)))))
-        return {node: data[:, column] for column, node in enumerate(nodes)}
-
-    def impedance_waveforms(self, nodes: Sequence[str],
-                            frequencies: Sequence[float]) -> Dict[str, Waveform]:
-        """Same as :meth:`impedances` but wrapped as complex waveforms."""
-        raw = self.impedances(nodes, frequencies)
-        freq = np.asarray(frequencies, dtype=float)
-        return {node: Waveform(freq, values, name=f"Z({node})", x_unit="Hz", y_unit="Ohm")
-                for node, values in raw.items()}
-
-
 class BatchImpedanceSweeper:
     """Driving-point impedances of many nodes for a whole sample batch.
 
-    The sample-axis sibling of :class:`ImpedanceSweeper`: instead of one
-    linearized ``(G, C)`` pair it holds a
-    :class:`~repro.analysis.compiled.BatchLinearization` — N samples'
-    small-signal planes over one shared pattern — and
+    It holds a :class:`~repro.analysis.compiled.BatchLinearization` —
+    N samples' small-signal planes over one shared pattern — and
     :meth:`impedance_cube` computes the full ``(N, nodes, F)`` impedance
     cube in stacked batch solves: on the dense backend one reduced sweep
     covers every sample, frequency and injection column together, over
@@ -162,9 +60,9 @@ class BatchImpedanceSweeper:
     def __init__(self, lin: BatchLinearization,
                  backend: Optional[str] = None):
         self._lin = lin
-        self._compiled = lin.compiled
+        self.compiled = lin.compiled
         density = max(lin.pattern.density(), lin.cap_pattern.density())
-        self._backend = resolve_backend(backend, size=self._compiled.size,
+        self._backend = resolve_backend(backend, size=self.compiled.size,
                                         density=density)
 
     # ------------------------------------------------------------------
@@ -173,16 +71,11 @@ class BatchImpedanceSweeper:
         return len(self._lin)
 
     @property
-    def failures(self) -> Dict[int, Exception]:
-        """Samples whose linearization already failed (read-only view)."""
-        return self._lin.failures
-
-    @property
     def node_names(self) -> List[str]:
-        return list(self._compiled.node_names)
+        return list(self.compiled.node_names)
 
     def has_node(self, node: str) -> bool:
-        return node in self._compiled.node_names
+        return node in self.compiled.node_names
 
     def reduction(self):
         """The batch's cached QZ reduction on the dense path (its
@@ -197,8 +90,8 @@ class BatchImpedanceSweeper:
         if unknown:
             raise StabilityAnalysisError(
                 f"nodes not present in the circuit: {unknown}")
-        indices = [self._compiled.index_of(n) for n in nodes]
-        rhs = np.zeros((self._compiled.size, len(nodes)), dtype=complex)
+        indices = [self.compiled.index_of(n) for n in nodes]
+        rhs = np.zeros((self.compiled.size, len(nodes)), dtype=complex)
         for column, index in enumerate(indices):
             rhs[index, column] = 1.0
         return indices, rhs
@@ -210,11 +103,9 @@ class BatchImpedanceSweeper:
         """The ``(N, nodes, F)`` complex impedance cube, batched.
 
         ``cube[k, c]`` is sample ``k``'s driving-point impedance of
-        ``nodes[c]`` over the sweep — identical (to solver tolerance) to
-        what sample ``k``'s scalar :meth:`ImpedanceSweeper.impedances`
-        returns.  Also returns the failure map (linearization failures
-        plus per-sample singular frequency points); failed samples' slabs
-        are NaN.
+        ``nodes[c]`` over the sweep.  Also returns the failure map
+        (linearization failures plus per-sample singular frequency
+        points); failed samples' slabs are NaN.
 
         ``samples`` restricts the solve to a subset of the batch (the
         members of one refinement window, say): the cube's first axis
@@ -249,3 +140,76 @@ class BatchImpedanceSweeper:
         if index in failures:
             raise failures[index]
         return {node: cube[0, column] for column, node in enumerate(nodes)}
+
+
+class ImpedanceSweeper(BatchImpedanceSweeper):
+    """Driving-point impedances of many nodes of one circuit: a batch of one.
+
+    The circuit is copied with every AC stimulus zeroed (the tool's
+    auto-zero) and linearised once at its bias point by
+    :meth:`~repro.analysis.mna.MNASystem.small_signal_matrices`, which,
+    unlike :func:`~repro.analysis.compiled.linearize_batch`, also takes
+    circuits whose companion structure depends on values.  The matrices
+    become a one-sample :class:`~repro.analysis.compiled.BatchLinearization`
+    over patterns taken from their coordinates.
+
+    ``compiled`` (a :class:`~repro.analysis.compiled.CompiledCircuit` of
+    the flattened circuit) skips the copy: the sweeper never reads the
+    stamped AC stimuli, so the shared structure is restamped directly
+    (the Monte Carlo fast path).
+    """
+
+    def __init__(self, circuit: Optional[Circuit],
+                 temperature: float = 27.0,
+                 gmin: float = 1e-12,
+                 variables: Optional[Dict[str, float]] = None,
+                 op: Optional[OPResult] = None,
+                 newton: Optional[NewtonOptions] = None,
+                 backend: Optional[str] = None,
+                 compiled: Optional[CompiledCircuit] = None):
+        if compiled is not None:
+            working = compiled.circuit
+        else:
+            working = circuit.flattened().copy()
+            working.zero_all_ac_sources()
+
+        ctx = AnalysisContext(temperature=temperature, gmin=gmin,
+                              variables=dict(working.variables))
+        if variables:
+            ctx.update_variables(variables)
+        system = MNASystem(working, ctx, backend=backend, compiled=compiled)
+        system.stamp()
+
+        if op is None:
+            op = operating_point(working, temperature=temperature,
+                                 variables=variables, options=newton,
+                                 system=system)
+        self.op = op
+
+        G, C = (matrix.tocoo() for matrix in system.small_signal_matrices(
+            op.values_for(system.variable_names), form="sparse"))
+        n = system.size
+        lin = BatchLinearization(
+            system.compiled, CompiledPattern(n, G.row, G.col),
+            CompiledPattern(n, C.row, C.col), G.data[None], C.data[None],
+            np.zeros((1, n), dtype=complex), np.array([temperature]),
+            np.array([gmin]))
+        super().__init__(lin, backend=system.backend)
+
+    def impedances(self, nodes: Sequence[str],
+                   frequencies: Sequence[float]) -> Dict[str, np.ndarray]:
+        """Complex driving-point impedance Z(node) over ``frequencies``.
+
+        Z is the voltage at the node in response to a unit AC current
+        injected into that same node with every other stimulus zeroed —
+        exactly what the single-node analysis measures.
+        """
+        return self.sample_impedances(0, nodes, frequencies)
+
+    def impedance_waveforms(self, nodes: Sequence[str],
+                            frequencies: Sequence[float]) -> Dict[str, Waveform]:
+        """Same as :meth:`impedances` but wrapped as complex waveforms."""
+        freq = np.asarray(frequencies, dtype=float)
+        return {node: Waveform(freq, values, name=f"Z({node})", x_unit="Hz",
+                               y_unit="Ohm")
+                for node, values in self.impedances(nodes, freq).items()}

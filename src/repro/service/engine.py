@@ -988,7 +988,8 @@ class BatchEngine:
         worker so fast workers drain the tail.  Every task's metric
         delta is folded into the parent registry and
         ``report.worker_metrics``.  A non-persistent engine runs on a
-        pool of its own that is closed before this returns.
+        pool of its own that is closed before this returns; its
+        telemetry is kept in ``report.pool``.
         """
         pool = self._ensure_pool() if self.persistent else self._new_pool()
         registry = global_registry()
@@ -1035,6 +1036,8 @@ class BatchEngine:
             for plan in plans:
                 plan.release()
             if not self.persistent:
+                if report is not None:
+                    report.pool = pool.stats()
                 pool.close()
 
     def _plan_shm_group(self, requests: Sequence[AnalysisRequest],

@@ -64,6 +64,10 @@ __all__ = ["TASK_CHUNK", "TASK_SOLVE", "TaskOutcome", "WorkerPool"]
 TASK_CHUNK = "chunk"
 TASK_SOLVE = "solve"
 
+#: How often (seconds) an idle worker checks that the process that
+#: started it is still its parent; an orphaned worker exits.
+PARENT_CHECK_SECONDS = 1.0
+
 #: Pools not yet closed; the atexit hook unlinks their shared memory so
 #: an un-closed daemon cannot strand ``/dev/shm`` segments.
 _POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
@@ -117,9 +121,10 @@ class TaskOutcome:
 def _worker_main(worker_id: int, task_queue, result_queue,
                  config: dict) -> None:
     """Worker process loop: drain the shared queue until the ``None``
-    sentinel.  Imports the engine lazily (the engine module imports this
-    one); with the fork start method the parent's compiled-circuit cache
-    is inherited copy-on-write, so structures compiled before the pool
+    sentinel, or until the parent (``config["parent_pid"]``) is gone.
+    Imports the engine lazily (the engine module imports this one); with
+    the fork start method the parent's compiled-circuit cache is
+    inherited copy-on-write, so structures compiled before the pool
     started cost the worker nothing."""
     from repro.obs.metrics import global_registry as _registry_factory
     from repro.obs.metrics import subtract_snapshots
@@ -131,7 +136,14 @@ def _worker_main(worker_id: int, task_queue, result_queue,
     registry = _registry_factory()
     result_queue.put(("ready", worker_id, os.getpid()))
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=PARENT_CHECK_SECONDS)
+        except queue.Empty:
+            if os.getppid() != config["parent_pid"]:
+                # Nobody reads results any more: exit without flushing.
+                result_queue.cancel_join_thread()
+                break
+            continue
         if task is None:
             break
         kind, task_id, payload = task
@@ -254,7 +266,8 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self._task_queue, result_queue,
-                  {"compiled_cache_size": self.compiled_cache_size}),
+                  {"compiled_cache_size": self.compiled_cache_size,
+                   "parent_pid": os.getpid()}),
             name=f"repro-pool-{worker_id}", daemon=True)
         process.start()
         self._workers[worker_id] = process

@@ -147,6 +147,20 @@ class TestExecuteRequest:
         assert "undefined_variable" in response.error
         assert response.traceback and "Traceback" in response.traceback
 
+    def test_overflowing_capacitor_fails_with_strict_json(self):
+        # The compensation capacitor at 1e308 F overflows the small-signal
+        # matrices: a failed response with no result, never a verdict.
+        from repro.circuits import opamp_buffer_netlist
+
+        netlist = opamp_buffer_netlist()
+        assert "C1 zx first {c1}" in netlist
+        response = execute_request(AnalysisRequest(
+            mode="all-nodes",
+            netlist=netlist.replace("C1 zx first {c1}", "C1 zx first 1e308")))
+        assert response.status == "failed"
+        assert response.result is None and response.error
+        json.dumps(response.to_dict(), allow_nan=False)
+
     def test_variable_override_changes_result(self):
         nominal = execute_request(AnalysisRequest(netlist=RLC_NETLIST))
         damped = execute_request(AnalysisRequest(netlist=RLC_NETLIST,

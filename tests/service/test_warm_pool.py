@@ -10,12 +10,15 @@ hygiene, and the configurable compiled-circuit cache.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.elements.passive import Resistor
 from repro.circuits.ladders import rc_ladder
@@ -143,7 +146,7 @@ class TestWarmReuse:
             responses = engine.run(requests)
             assert engine.pool is None
         assert all(r.ok for r in responses)
-        assert engine.last_report.pool is None
+        assert engine.last_report.pool["max_workers"] == 2
 
     def test_non_persistent_engine_closes_its_pool_after_each_run(self):
         # Shared-memory solve tasks (the sparse ladder group) and pickled
@@ -324,6 +327,45 @@ class TestCrashRecovery:
         finally:
             KillOnceResistor.sentinel = None
         assert active_block_names() == []
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process states from /proc")
+    def test_worker_exits_when_its_parent_dies_without_close(self):
+        # The parent interpreter starts one worker and dies at once: no
+        # close(), no atexit hook, so no sentinel ever reaches the worker.
+        script = ("import os\n"
+                  "from repro.service import WorkerPool\n"
+                  "pool = WorkerPool(max_workers=1)\n"
+                  "pool.ensure_started()\n"
+                  "print(pool.worker_pids()[0], flush=True)\n"
+                  "os._exit(0)\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        # The worker inherits the pipe: read the line, not up to EOF.
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        with child.stdout:
+            pid = int(child.stdout.readline())
+        assert child.wait(timeout=60) == 0
+        try:
+            deadline = time.monotonic() + 10.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _running(pid)
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestIdleRecycle:
