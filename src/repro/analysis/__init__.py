@@ -7,14 +7,13 @@ transient integration and pole analysis, all operating on
 
 from repro.analysis.ac import ac_analysis, solve_ac_batch
 from repro.analysis.compiled import (
+    BatchNewtonState,
     BatchStampState,
     CompiledCircuit,
-    NewtonState,
     StampState,
     compile_circuit,
 )
 from repro.analysis.context import AnalysisContext
-from repro.analysis.compiled import BatchNewtonState
 from repro.analysis.dcsweep import dc_sweep, dc_sweep_batch
 from repro.analysis.mna import MNASystem, SolutionView
 from repro.analysis.op import (
@@ -46,7 +45,6 @@ __all__ = [
     "BatchNewtonState",
     "BatchStampState",
     "CompiledCircuit",
-    "NewtonState",
     "StampState",
     "compile_circuit",
     "MNASystem",

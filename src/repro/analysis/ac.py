@@ -24,7 +24,11 @@ Three solver paths sit behind one interface (``docs/solver-backends.md``):
 A failure — a non-finite plane, a singular pencil, a singular frequency —
 fails only its own sample with a typed
 :class:`~repro.exceptions.SingularMatrixError` and increments
-``ac.sweep_failures.<reason>``.
+``ac.sweep_failures.<reason>``.  A capacitance too large for
+``2*pi*f_max*|C|`` to stay finite fails its sample before either backend
+forms ``G + j*omega*C``, with an
+:class:`~repro.exceptions.AnalysisError` naming the node pair and the
+magnitude (reason ``capacitance_overflow``).
 """
 
 from __future__ import annotations
@@ -258,6 +262,33 @@ def _lu_sweep(G: np.ndarray, C: np.ndarray, B: np.ndarray,
     return out
 
 
+def _capacitance_overflow(lin, index: int, f_max: float) -> AnalysisError:
+    """The failure of sample ``index`` of ``lin``, some capacitance of
+    which overflows ``2*pi*f_max*|C|``.
+
+    Such a sample cannot form ``G + j*omega*C`` at the top of the sweep;
+    the error names the capacitance's node pair and magnitude instead of
+    letting either backend report a singular or non-finite pencil.
+    """
+    c_values = lin.c_values[index]
+    with np.errstate(over="ignore"):
+        scaled = (2.0 * np.pi * f_max) * np.abs(c_values)
+    bad = np.flatnonzero(~np.isfinite(scaled))
+    rows, cols = lin.cap_pattern.rows[bad], lin.cap_pattern.cols[bad]
+    # A two-terminal capacitor is named by an off-diagonal entry.
+    slot = bad[int(np.argmax(rows != cols))]
+    names = lin.compiled.variable_names
+    node_a = names[lin.cap_pattern.rows[slot]]
+    node_b = names[lin.cap_pattern.cols[slot]]
+    where = (f"between {node_a!r} and {node_b!r}" if node_a != node_b
+             else f"at {node_a!r}")
+    _count_failure("capacitance_overflow")
+    return AnalysisError(
+        f"AC layer: the capacitance {where} ({abs(c_values[slot]):.3g} F) "
+        f"overflows 2*pi*f*|C| at {f_max:g} Hz, so G + j*omega*C cannot "
+        "be formed")
+
+
 def _singular_at(frequency: float) -> SingularMatrixError:
     _count_failure("singular_frequency")
     return SingularMatrixError(f"AC system is singular at {frequency:g} Hz")
@@ -443,12 +474,20 @@ def solve_ac_stacked_batch(lin, rhs, frequencies,
     data = np.full((n_samples, len(freq)) + shape, np.nan, dtype=complex)
 
     failures = dict(lin.failures)
+    finite = (np.isfinite(lin.g_values).all(axis=1)
+              & np.isfinite(lin.c_values).all(axis=1))
+    f_max = float(np.max(freq)) if len(freq) else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflows = ~np.isfinite(
+            (2.0 * np.pi * f_max) * np.abs(lin.c_values)).all(axis=1)
     for index in range(n_samples):
-        if index not in failures and not (
-                np.all(np.isfinite(lin.g_values[index]))
-                and np.all(np.isfinite(lin.c_values[index]))):
+        if index in failures:
+            continue
+        if not finite[index]:
             _count_failure("non_finite_matrix")
             failures[index] = SingularMatrixError(_NON_FINITE_MESSAGE)
+        elif overflows[index]:
+            failures[index] = _capacitance_overflow(lin, index, f_max)
     healthy = [k for k in range(n_samples) if k not in failures]
 
     span = _span("ac.stacked_batch", samples=n_samples,

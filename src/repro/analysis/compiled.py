@@ -79,7 +79,7 @@ from repro.linalg.triplets import CompiledPattern
 from repro.obs.trace import span as _span
 
 __all__ = ["BatchLinearization", "BatchNewtonState", "BatchStampState",
-           "CompiledCircuit", "NewtonState", "StampState", "compile_circuit",
+           "CompiledCircuit", "StampState", "compile_circuit",
            "linearize_batch"]
 
 # Stamp-op targets.
@@ -377,6 +377,45 @@ class _CaptureStamper:
 
     def require_variable(self, variable, owner=""):
         pass
+
+
+def _capture(counts: Sequence[Tuple[Element, int]], stamp, capture,
+             error: type, when: str) -> list:
+    """Replay ``stamp(element, capture)`` for every compiled element and
+    return the captured values in call order.
+
+    ``counts`` pairs each element with the number of stamp calls recorded
+    for it at compile time.  An element making a different number of
+    calls now raises ``error``: its stamp structure moved ``when`` (say,
+    "between iterations"), which fixed pattern slots cannot represent.
+    This is the one capture loop behind every restamp, Newton refill and
+    linearization of a compiled circuit.
+    """
+    captured = capture.values
+    for element, expected in counts:
+        before = len(captured)
+        stamp(element, capture)
+        if len(captured) - before != expected:
+            raise error(
+                f"element {element.name!r} changed its stamp structure "
+                f"{when}: {expected} stamps recorded, "
+                f"{len(captured) - before} now")
+    return captured
+
+
+def _stack(captured: list, width: int, dtype) -> np.ndarray:
+    """Values captured against an array-valued context as one ``(stamps,
+    width)`` array: ``(width,)`` columns fill their row, scalars (values
+    shared by every sample) broadcast across it."""
+    values = np.empty((len(captured), width), dtype=dtype)
+    for index, value in enumerate(captured):
+        values[index] = value
+    return values
+
+
+#: ``when`` of a linear restamp whose stamp count moved.
+_BETWEEN_SCENARIOS = ("between scenarios (compiled circuits require "
+                      "context-independent stamp structure)")
 
 
 class _DynamicScatter:
@@ -804,138 +843,32 @@ class _NewtonProgram:
                  "cap_pattern", "cap_linear_nnz", "cap_nnz", "cap_slots")
 
 
-class NewtonState:
-    """Per-scenario Newton assembly over a compiled union pattern.
+def _companion_values(program: _NewtonProgram, view, ctx, when: str,
+                      width: Optional[int] = None) -> np.ndarray:
+    """Every companion stamp value of ``program`` at ``view``.
 
-    Owns the value array of the union Newton pattern (linear base +
-    companion slots + gshunt diagonal), the companion right-hand side and
-    the solver seam: on the dense kernel every :meth:`solve` is one
-    LAPACK call against the densified union; on the sparse kernel (large
-    systems on the sparse backend) the CSC skeleton and the pattern key
-    are fixed, so every iteration is ``refactor(values) -> solve`` and
-    same-pattern factorizations reuse the cached symbolic ordering.
+    Returns ``(stamps,)`` for a scalar solution view, or ``(stamps,
+    width)`` for an array-valued :class:`_BatchSolutionView` over
+    ``width`` samples (scalar stamp values broadcast across the row).
     """
+    captured = _capture(
+        program.counts,
+        lambda element, capture: element.stamp_nonlinear(capture, view, ctx),
+        _IterCapture(), CompanionStructureError, when)
+    if width is None:
+        return np.asarray(captured, dtype=float)
+    return _stack(captured, width, float)
 
-    def __init__(self, program: _NewtonProgram, state: StampState,
-                 backend=None, names: Optional[Sequence[str]] = None):
-        self._program = program
-        self._state = state
-        self.b_dc = state.b_dc
-        self.values = np.zeros(program.nnz)
-        self.values[:program.linear_nnz] = state.g_values
-        self.b_iter = np.zeros(program.n)
-        self._names = list(names) if names is not None else None
-        self._use_sparse = (backend is not None
-                            and getattr(backend, "name", None) == "sparse"
-                            and program.n >= AUTO_SPARSE_MIN_SIZE)
-        self._backend = backend
-        self._dirty = True
-        self._dense: Optional[np.ndarray] = None
-        self._csc_buf: Optional[np.ndarray] = None
-        self._system: Optional[LinearSystem] = None
-        self._cap_values = np.zeros(program.cap_nnz)
-        self._cap_dense: Optional[np.ndarray] = None
-        self._cap_adapter = _CapSlotAdapter(self._cap_values)
 
-    # ------------------------------------------------------------------
-    def rebind(self, state: StampState) -> "NewtonState":
-        """Swap in a freshly restamped linear base (same structure)."""
-        self._state = state
-        self.b_dc = state.b_dc
-        self.values[:self._program.linear_nnz] = state.g_values
-        self._dirty = True
-        return self
-
-    def set_gshunt(self, gshunt: float) -> None:
-        """Fill the prebuilt diagonal shunt slots (no matrix copies)."""
-        self.values[self._program.shunt_slice] = gshunt
-        self._dirty = True
-
-    # ------------------------------------------------------------------
-    def refill(self, view, ctx) -> np.ndarray:
-        """Re-evaluate every companion at the candidate solution ``view``.
-
-        Returns the Newton right-hand side ``b_dc + b_iter``.  The matrix
-        values are scattered into the union array; the (re)factorization
-        happens lazily on the next :meth:`solve`/:meth:`matvec`.
-        """
-        program = self._program
-        capture = _IterCapture()
-        captured = capture.values
-        for element, expected in program.counts:
-            before = len(captured)
-            element.stamp_nonlinear(capture, view, ctx)
-            if len(captured) - before != expected:
-                raise CompanionStructureError(
-                    f"element {element.name!r} changed its companion stamp "
-                    f"structure between iterations ({expected} stamps "
-                    f"recorded, {len(captured) - before} this iteration)")
-        values = np.asarray(captured, dtype=float)
-        if len(program.g_slots):
-            self.values[program.g_slots] = values[program.g_vidx]
-        self.b_iter[:] = 0.0
-        if len(program.b_rows):
-            np.add.at(self.b_iter, program.b_rows, values[program.b_vidx])
-        self._dirty = True
-        return self.b_dc + self.b_iter
-
-    # ------------------------------------------------------------------
-    def matrix(self) -> np.ndarray:
-        """The assembled Newton matrix, densified into a reused buffer."""
-        if self._dirty or self._dense is None:
-            self._dense = self._program.pattern.to_dense(self.values,
-                                                         out=self._dense)
-        return self._dense
-
-    def _sparse_system(self) -> LinearSystem:
-        pattern = self._program.pattern
-        if self._system is None:
-            self._system = LinearSystem(
-                pattern.to_csc(self.values), backend=self._backend,
-                names=self._names, pattern_key=pattern.pattern_key())
-        elif self._dirty:
-            self._csc_buf = pattern.csc_data(self.values, out=self._csc_buf)
-            self._system.refactor(self._csc_buf)
-        return self._system
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``G_newton @ x`` for the residual acceptance check."""
-        if self._use_sparse:
-            result = self._sparse_system().matrix @ x
-        else:
-            result = self.matrix() @ x
-        self._dirty = False
-        return result
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """One Newton step solve on the configured kernel."""
-        if self._use_sparse:
-            system = self._sparse_system()
-            self._dirty = False
-            return system.solve(b)
-        matrix = self.matrix()
-        self._dirty = False
-        return DenseBackend().solve_once(matrix, b, names=self._names)
-
-    # ------------------------------------------------------------------
-    def cap_dense(self, view, ctx) -> np.ndarray:
-        """Small-signal ``C`` (linear + incremental) at ``view``, dense.
-
-        Used by the full-nonlinear transient integrator, which needs the
-        capacitance matrix once per time step; the compiled per-device
-        terminal blocks replace the per-step triplet rebuild.
-        """
-        program = self._program
-        values = self._cap_values
-        values[:program.cap_linear_nnz] = self._state.c_values
-        values[program.cap_linear_nnz:] = 0.0
-        adapter = self._cap_adapter
-        for element, slots in program.cap_slots:
-            adapter.slots = slots
-            element.stamp_dynamic_nonlinear(adapter, view, ctx)
-        self._cap_dense = program.cap_pattern.to_dense(values,
-                                                       out=self._cap_dense)
-        return self._cap_dense
+def _stamp_capacitances(program: _NewtonProgram, values: np.ndarray,
+                        view, ctx) -> None:
+    """Add every nonlinear device's incremental capacitances at ``view``
+    into ``values``: one row over ``program.cap_pattern`` whose linear
+    segment is already filled."""
+    adapter = _CapSlotAdapter(values)
+    for element, slots in program.cap_slots:
+        adapter.slots = slots
+        element.stamp_dynamic_nonlinear(adapter, view, ctx)
 
 
 class _CompiledSolutionView:
@@ -1027,15 +960,18 @@ class _BatchNewtonContext:
 
 
 class BatchNewtonState:
-    """The ``(N, nnz)`` sample-axis extension of :class:`NewtonState`.
+    """Newton assembly over the compiled union pattern, one row per sample.
 
-    Owns one value plane over the compiled union Newton pattern — row
-    ``k`` is sample ``k``'s linear base + companion slots + gshunt
-    diagonal — plus the per-sample companion right-hand sides.  The
-    batched Newton loop in :func:`repro.analysis.op.solve_nonlinear_dc_batch`
-    drives it with *row index arrays* (the convergence mask): only the
-    still-active samples are refilled, solved and residual-checked, so
-    converged samples stop paying.
+    Owns one ``(N, nnz)`` value plane over the compiled union Newton
+    pattern — row ``k`` is sample ``k``'s linear base + companion slots +
+    gshunt diagonal.  The batched Newton loop in
+    :func:`repro.analysis.op.solve_nonlinear_dc_batch` drives it with
+    *row index arrays* (the convergence mask): only the still-active
+    samples are refilled, solved and residual-checked, so converged
+    samples stop paying.  The scalar Newton ladder and the full-nonlinear
+    transient integrator step row 0 of a one-row state
+    (:meth:`~repro.analysis.mna.MNASystem.newton_state`): one assembly
+    serves N rows and one row.
 
     Two refill paths exist, mirroring ``restamp_batch``:
 
@@ -1044,46 +980,45 @@ class BatchNewtonState:
       and the array-aware device helpers.  It raises on array-shy device
       code or non-finite results — vectorization is an optimization,
       never a behaviour change.
-    * :meth:`refill_row` is the exact scalar refill of one sample
-      (identical to :meth:`NewtonState.refill` semantics), used when the
-      vector pass is unavailable.
+    * :meth:`refill_row` is the exact scalar refill of one sample, used
+      by the scalar ladder and when the vector pass is unavailable.
 
-    Solves go through :meth:`~repro.linalg.LinearSystem.solve_batch`:
-    one batched LAPACK call on the dense kernel, a cached-symbolic
-    refactor loop on the sparse kernel (same pattern key every
-    iteration).
+    Residuals (:meth:`matvec_rows`) and steps (:meth:`solve_rows`) read
+    the same assembled matrices: one batched LAPACK call on the dense
+    kernel (whose per-row results are bit for bit the 2-D calls'), a
+    cached-symbolic refactor loop on the sparse kernel (same pattern key
+    every iteration).
     """
 
     def __init__(self, program: _NewtonProgram, batch: BatchStampState,
                  backend=None, names: Optional[Sequence[str]] = None):
         self._program = program
-        self._batch = batch
         self._compiled = batch.compiled
-        n_samples = len(batch)
-        self.values = np.zeros((n_samples, program.nnz))
-        self.values[:, :program.linear_nnz] = batch.g_values
-        self.b_dc = np.real(batch.b_dc) if np.iscomplexobj(batch.b_dc) \
-            else batch.b_dc
-        self.b_iter = np.zeros((n_samples, program.n))
+        self.values = np.zeros((len(batch), program.nnz))
         self._names = list(names) if names is not None else None
         self._backend = backend
         self._use_sparse = (backend is not None
                             and getattr(backend, "name", None) == "sparse"
                             and program.n >= AUTO_SPARSE_MIN_SIZE)
         self._system: Optional[LinearSystem] = None
-        self._vctx: Optional[_BatchNewtonContext] = None
-        self._vector_rows: Optional[np.ndarray] = None
+        self.rebind(batch)
+
+    def rebind(self, batch: BatchStampState) -> "BatchNewtonState":
+        """Swap in a freshly restamped linear base (same structure, same
+        number of rows); the solver skeleton is kept."""
+        self._batch = batch
+        self.values[:, :self._program.linear_nnz] = batch.g_values
+        self.b_dc = np.real(batch.b_dc) if np.iscomplexobj(batch.b_dc) \
+            else batch.b_dc
         temps = batch.temperatures
         gmins = batch.gmins
         self._temps_uniform = bool(np.all(temps == temps[0]))
         self._gmin_uniform = bool(np.all(gmins == gmins[0]))
+        self.discard_vector_state()
+        self._assembly = None
+        return self
 
     # ------------------------------------------------------------------
-    @property
-    def use_sparse(self) -> bool:
-        """Whether solves run on the cached-symbolic sparse kernel."""
-        return self._use_sparse
-
     @property
     def vector_ready(self) -> bool:
         """Whether the vectorized refill may run: the device temperature
@@ -1093,6 +1028,7 @@ class BatchNewtonState:
     def set_gshunt(self, gshunt: float) -> None:
         """Fill the diagonal shunt slots of every sample's row."""
         self.values[:, self._program.shunt_slice] = gshunt
+        self._assembly = None
 
     def discard_vector_state(self) -> None:
         """Drop the vector limiting state (after a failed vector refill
@@ -1110,7 +1046,6 @@ class BatchNewtonState:
         sides.  Raises when any device cannot take arrays — the caller
         falls back to :meth:`refill_row`.
         """
-        program = self._program
         rows = np.asarray(rows, dtype=np.int64)
         if self._vctx is None:
             self._vctx = _BatchNewtonContext(
@@ -1125,68 +1060,81 @@ class BatchNewtonState:
             ctx.gmin = self._batch.gmins[rows]
         self._vector_rows = rows
         view = _BatchSolutionView(self._compiled, x_rows)
-        capture = _IterCapture()
-        captured = capture.values
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for element, expected in program.counts:
-                before = len(captured)
-                element.stamp_nonlinear(capture, view, ctx)
-                if len(captured) - before != expected:
-                    raise CompanionStructureError(
-                        f"element {element.name!r} changed its companion "
-                        f"stamp structure between iterations ({expected} "
-                        f"stamps recorded, {len(captured) - before} this "
-                        "iteration)")
-        values = np.empty((len(captured), len(rows)))
-        for index, value in enumerate(captured):
-            values[index] = value          # broadcasts scalars and columns
+            values = _companion_values(self._program, view, ctx,
+                                       "between iterations", len(rows))
         if not np.all(np.isfinite(values)):
             raise AnalysisError(
                 "non-finite companion values in the batched Newton refill")
+        program = self._program
         if len(program.g_slots):
             self.values[np.ix_(rows, program.g_slots)] = \
                 values[program.g_vidx].T
-        block = np.zeros((len(rows), program.n))
+        b_iter = np.zeros((len(rows), program.n))
         if len(program.b_rows):
-            np.add.at(block.T, program.b_rows, values[program.b_vidx])
-        self.b_iter[rows] = block
-        return self.b_dc[rows] + block
+            np.add.at(b_iter.T, program.b_rows, values[program.b_vidx])
+        self._assembly = None
+        return self.b_dc[rows] + b_iter
 
     def refill_row(self, row: int, x: np.ndarray, ctx) -> np.ndarray:
-        """Exact scalar companion refill of one sample (the always-correct
-        path; identical semantics to :meth:`NewtonState.refill`)."""
+        """Exact scalar companion refill of one sample at ``x`` under the
+        scalar context ``ctx``; returns its Newton right-hand side."""
         program = self._program
-        view = _CompiledSolutionView(self._compiled, x)
-        capture = _IterCapture()
-        captured = capture.values
-        for element, expected in program.counts:
-            before = len(captured)
-            element.stamp_nonlinear(capture, view, ctx)
-            if len(captured) - before != expected:
-                raise CompanionStructureError(
-                    f"element {element.name!r} changed its companion stamp "
-                    f"structure between iterations ({expected} stamps "
-                    f"recorded, {len(captured) - before} this iteration)")
-        values = np.asarray(captured, dtype=float)
+        values = _companion_values(program,
+                                   _CompiledSolutionView(self._compiled, x),
+                                   ctx, "between iterations")
         if len(program.g_slots):
             self.values[row, program.g_slots] = values[program.g_vidx]
-        self.b_iter[row] = 0.0
+        b_iter = np.zeros(program.n)
         if len(program.b_rows):
-            np.add.at(self.b_iter[row], program.b_rows,
-                      values[program.b_vidx])
-        return self.b_dc[row] + self.b_iter[row]
+            np.add.at(b_iter, program.b_rows, values[program.b_vidx])
+        self._assembly = None
+        return self.b_dc[row] + b_iter
 
     # ------------------------------------------------------------------
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The Newton matrices of ``rows`` as a dense ``(A, n, n)`` stack
+        (each slice bit for bit the scalar densify of its row)."""
+        return self._program.pattern.to_dense_batch(self.values[rows])
+
+    def _assembled(self, rows: np.ndarray) -> np.ndarray:
+        """The matrices of ``rows`` in the solve kernel's form — a dense
+        stack, or CSC data rows on the sparse kernel — cached until the
+        values change, so a residual check and the step after it share
+        one assembly."""
+        cached = self._assembly
+        if cached is None or not (cached[0] is rows
+                                  or np.array_equal(cached[0], rows)):
+            matrices = (self._program.pattern.csc_data_batch(self.values[rows])
+                        if self._use_sparse else self.dense_rows(rows))
+            cached = self._assembly = (rows, matrices)
+        return cached[1]
+
+    def _linear_system(self, rows: np.ndarray) -> LinearSystem:
+        if self._system is None:
+            pattern = self._program.pattern
+            if self._use_sparse:
+                self._system = LinearSystem(
+                    pattern.to_csc(self.values[rows[0]]),
+                    backend=self._backend, names=self._names,
+                    pattern_key=pattern.pattern_key())
+            else:
+                # Below AUTO_SPARSE_MIN_SIZE unknowns Newton solves on the
+                # dense kernel whatever the resolved backend.
+                self._system = LinearSystem(self._assembled(rows)[0],
+                                            backend=DenseBackend(),
+                                            names=self._names)
+        return self._system
+
     def matvec_rows(self, rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-        """``G_newton[k] @ x[k]`` for the active rows, straight from the
-        union-pattern triplets (duplicate slots sum, so this is exact on
-        both kernels without densifying)."""
-        pattern = self._program.pattern
-        vals = self.values[rows]
-        contrib = vals * x_rows[:, pattern.cols]
-        out = np.zeros_like(x_rows)
-        np.add.at(out.T, pattern.rows, contrib.T)
-        return out
+        """``G_newton[k] @ x[k]`` for the given rows (the residual check),
+        from the assembled matrices that :meth:`solve_rows` factors."""
+        matrices = self._assembled(rows)
+        if not self._use_sparse:
+            return np.matmul(matrices, x_rows[..., None])[..., 0]
+        system = self._linear_system(rows)
+        return np.stack([system.refactor(data).matrix @ x
+                         for data, x in zip(matrices, x_rows)])
 
     def solve_rows(self, rows: np.ndarray, b_rows: np.ndarray):
         """One batched Newton step for the given sample rows.
@@ -1194,22 +1142,20 @@ class BatchNewtonState:
         Returns ``(x_rows, failures)`` where ``failures`` maps positions
         *within* ``rows`` to exceptions (singular samples fail alone).
         """
-        pattern = self._program.pattern
-        vals = self.values[rows]
-        if self._use_sparse:
-            data = pattern.csc_data_batch(vals)
-            if self._system is None:
-                self._system = LinearSystem(
-                    pattern.to_csc(vals[0]), backend=self._backend,
-                    names=self._names, pattern_key=pattern.pattern_key())
-            return self._system.solve_batch(data, b_rows)
-        matrices = pattern.to_dense_batch(vals)
-        if self._system is None:
-            # Small systems solve on the dense kernel regardless of the
-            # resolved backend — identical policy to NewtonState.
-            self._system = LinearSystem(matrices[0], backend=DenseBackend(),
-                                        names=self._names)
-        return self._system.solve_batch(matrices, b_rows)
+        matrices = self._assembled(rows)
+        return self._linear_system(rows).solve_batch(matrices, b_rows)
+
+    # ------------------------------------------------------------------
+    def capacitance_dense(self, row: int, x: np.ndarray, ctx) -> np.ndarray:
+        """Row ``row``'s small-signal ``C`` (linear + incremental) at
+        ``x``, dense — the full-nonlinear transient integrator needs it
+        once per time step."""
+        program = self._program
+        values = np.zeros(program.cap_nnz)
+        values[:program.cap_linear_nnz] = self._batch.c_values[row]
+        _stamp_capacitances(program, values,
+                            _CompiledSolutionView(self._compiled, x), ctx)
+        return program.cap_pattern.to_dense(values)
 
 
 class BatchLinearization:
@@ -1351,29 +1297,25 @@ class BatchLinearization:
 _LINEARIZE_LIMIT_PASSES = 64
 
 
-def _companion_values_at(newton: _NewtonProgram, view: "_CompiledSolutionView",
-                         ctx: AnalysisContext) -> np.ndarray:
+def _companion_fixpoint(newton: _NewtonProgram, view, ctx,
+                        width: Optional[int] = None) -> np.ndarray:
     """Companion stamp values at exactly the ``view`` solution.
 
     Replays ``stamp_nonlinear`` until the device limiting state reaches
     its fixpoint (limiting becomes the identity), which is precisely the
     state a converged scalar Newton leaves behind before
-    ``small_signal_matrices`` runs — so the returned values equal the
-    scalar small-signal companion stamps bit for bit.
+    ``small_signal_matrices`` runs — so the values equal the scalar
+    small-signal companion stamps bit for bit.  Over a
+    :class:`_BatchSolutionView` of ``width`` samples the joint fixpoint
+    is reached when no sample's values change between passes — each
+    sample's limiter contracts independently, so its values freeze at
+    exactly its own scalar fixpoint.  The values are shaped as
+    :func:`_companion_values` returns them.
     """
     previous: Optional[np.ndarray] = None
     for _ in range(_LINEARIZE_LIMIT_PASSES):
-        capture = _IterCapture()
-        captured = capture.values
-        for element, expected in newton.counts:
-            before = len(captured)
-            element.stamp_nonlinear(capture, view, ctx)
-            if len(captured) - before != expected:
-                raise CompanionStructureError(
-                    f"element {element.name!r} changed its companion stamp "
-                    f"structure at the operating point ({expected} stamps "
-                    f"recorded, {len(captured) - before} this pass)")
-        values = np.asarray(captured, dtype=float)
+        values = _companion_values(newton, view, ctx,
+                                   "at the operating point", width)
         if not np.all(np.isfinite(values)):
             raise AnalysisError(
                 "non-finite companion values at the operating point")
@@ -1383,64 +1325,6 @@ def _companion_values_at(newton: _NewtonProgram, view: "_CompiledSolutionView",
     raise AnalysisError(
         "device limiting did not reach a fixpoint at the operating point "
         f"after {_LINEARIZE_LIMIT_PASSES} passes")
-
-
-def _linearize_vector(newton: _NewtonProgram, compiled: "CompiledCircuit",
-                      batch: BatchStampState, x: np.ndarray,
-                      healthy: Sequence[int],
-                      g_values: np.ndarray) -> None:
-    """Vectorized :func:`_companion_values_at` over every healthy sample.
-
-    One limiting-fixpoint iteration evaluates every device *once for all
-    samples* through array-valued voltages (the same
-    :class:`_BatchSolutionView` / :class:`_BatchNewtonContext` machinery
-    as the batched Newton's ``refill_vector``); the joint fixpoint is
-    reached when no sample's values change between passes — each
-    sample's limiter contracts independently, so its values freeze at
-    exactly its own scalar fixpoint.  Requires a temperature-uniform
-    batch (the device temperature equations are scalar) and raises on
-    array-shy device code or non-finite results; the caller then falls
-    back to the exact per-sample loop, which isolates and diagnoses the
-    problem.  Covers the companion conductances only — incremental
-    capacitances (``stamp_dynamic_nonlinear``) stay per-sample, their
-    depletion-charge branches being value-dependent.  Writes the
-    ``g_values`` rows only on success.
-    """
-    rows = np.asarray(list(healthy), dtype=np.int64)
-    ctx = _BatchNewtonContext(float(batch.temperatures[0]),
-                              float(batch.gmins[0]))
-    if not np.all(batch.gmins[rows] == batch.gmins[rows[0]]):
-        ctx.gmin = batch.gmins[rows]
-    view = _BatchSolutionView(compiled, x[rows])
-    previous: Optional[np.ndarray] = None
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for _ in range(_LINEARIZE_LIMIT_PASSES):
-            capture = _IterCapture()
-            captured = capture.values
-            for element, expected in newton.counts:
-                before = len(captured)
-                element.stamp_nonlinear(capture, view, ctx)
-                if len(captured) - before != expected:
-                    raise CompanionStructureError(
-                        f"element {element.name!r} changed its companion "
-                        f"stamp structure at the operating point ({expected} "
-                        f"stamps recorded, {len(captured) - before} this "
-                        "pass)")
-            values = np.empty((len(captured), len(rows)))
-            for index, value in enumerate(captured):
-                values[index] = value      # broadcasts scalars and columns
-            if not np.all(np.isfinite(values)):
-                raise AnalysisError(
-                    "non-finite companion values at the operating point")
-            if previous is not None and np.array_equal(previous, values):
-                break
-            previous = values
-        else:
-            raise AnalysisError(
-                "device limiting did not reach a fixpoint at the operating "
-                f"point after {_LINEARIZE_LIMIT_PASSES} passes")
-    if len(newton.g_slots):
-        g_values[np.ix_(rows, newton.g_slots)] = values[newton.g_vidx].T
 
 
 def linearize_batch(batch: BatchStampState,
@@ -1499,30 +1383,44 @@ def linearize_batch(batch: BatchStampState,
         g_values[:, :newton.linear_nnz] = batch.g_values
         c_values = np.zeros((n, newton.cap_nnz))
         c_values[:, :newton.cap_linear_nnz] = batch.c_values
+
+        # One limiting fixpoint for every healthy sample at once when the
+        # batch is temperature-uniform (the device temperature equations
+        # are scalar).  Array-shy device code or a per-sample numerical
+        # problem demotes to the exact per-sample loop below, which
+        # isolates and diagnoses it without poisoning the batch.
+        # Incremental capacitances stay per-sample: their depletion-charge
+        # branches are value-dependent.
         vectorized = False
         if len(healthy) >= 2 and np.all(
                 batch.temperatures == batch.temperatures[0]):
+            rows = np.asarray(healthy, dtype=np.int64)
+            ctx = _BatchNewtonContext(float(batch.temperatures[0]),
+                                      float(batch.gmins[0]))
+            if not np.all(batch.gmins[rows] == batch.gmins[rows[0]]):
+                ctx.gmin = batch.gmins[rows]
             try:
-                _linearize_vector(newton, compiled, batch, x, healthy,
-                                  g_values)
-                vectorized = True
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    values = _companion_fixpoint(
+                        newton, _BatchSolutionView(compiled, x[rows]), ctx,
+                        len(rows))
             except Exception:
-                # Array-shy device code or a per-sample numerical
-                # problem: the exact per-sample loop below isolates and
-                # diagnoses it without poisoning the batch.
                 pass
+            else:
+                if len(newton.g_slots):
+                    g_values[np.ix_(rows, newton.g_slots)] = \
+                        values[newton.g_vidx].T
+                vectorized = True
         for k in healthy:
             try:
                 ctx = batch.sample_context(k)
                 view = _CompiledSolutionView(compiled, x[k])
                 if not vectorized:
-                    values = _companion_values_at(newton, view, ctx)
+                    values = _companion_fixpoint(newton, view, ctx)
                     if len(newton.g_slots):
                         g_values[k, newton.g_slots] = values[newton.g_vidx]
-                adapter = _CapSlotAdapter(c_values[k])
-                for element, slots in newton.cap_slots:
-                    adapter.slots = slots
-                    element.stamp_dynamic_nonlinear(adapter, view, ctx)
+                _stamp_capacitances(newton, c_values[k], view, ctx)
             except Exception as exc:
                 failures[k] = exc
                 g_values[k] = np.nan
@@ -1819,18 +1717,10 @@ class CompiledCircuit:
             b_dc = program.base_bdc.copy()
             b_ac = program.base_bac.copy()
             if program.dynamic:
-                capture = _CaptureStamper()
-                captured = capture.values
-                for element, expected in program.scatter.counts:
-                    before = len(captured)
-                    element.stamp_linear(capture, ctx)
-                    if len(captured) - before != expected:
-                        raise AnalysisError(
-                            f"element {element.name!r} changed its stamp "
-                            f"structure between scenarios ({expected} recorded "
-                            f"stamps, {len(captured) - before} on restamp); "
-                            "compiled circuits require context-independent "
-                            "stamp structure")
+                captured = _capture(
+                    program.scatter.counts,
+                    lambda element, capture: element.stamp_linear(capture, ctx),
+                    _CaptureStamper(), AnalysisError, _BETWEEN_SCENARIOS)
                 program.scatter.apply(np.asarray(captured, dtype=complex),
                                       g_values, c_values, b_dc, b_ac)
             return StampState(self, g_values, c_values, b_dc, b_ac)
@@ -2039,22 +1929,12 @@ class CompiledCircuit:
         """
         n = len(temps)
         ctx = _VectorContext(n, temps, gmins, columns)
-        capture = _CaptureStamper()
-        captured = capture.values
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for element, expected in program.scatter.counts:
-                before = len(captured)
-                element.stamp_linear(capture, ctx)
-                if len(captured) - before != expected:
-                    raise AnalysisError(
-                        f"element {element.name!r} changed its stamp "
-                        f"structure between scenarios ({expected} recorded "
-                        f"stamps, {len(captured) - before} on restamp); "
-                        "compiled circuits require context-independent "
-                        "stamp structure")
-        values = np.empty((len(captured), n), dtype=complex)
-        for index, value in enumerate(captured):
-            values[index] = value          # broadcasts scalars and columns
+            captured = _capture(
+                program.scatter.counts,
+                lambda element, capture: element.stamp_linear(capture, ctx),
+                _CaptureStamper(), AnalysisError, _BETWEEN_SCENARIOS)
+        values = _stack(captured, n, complex)
         if not np.all(np.isfinite(values)):
             raise AnalysisError("non-finite stamp values in the vectorized "
                                 "batch pass")

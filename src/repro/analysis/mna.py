@@ -33,7 +33,12 @@ import numpy as np
 from repro.circuit.elements.base import Element
 from repro.circuit.netlist import Circuit
 from repro.exceptions import AnalysisError, NetlistError
-from repro.analysis.compiled import CompiledCircuit, NewtonState, StampState
+from repro.analysis.compiled import (
+    BatchNewtonState,
+    BatchStampState,
+    CompiledCircuit,
+    StampState,
+)
 from repro.analysis.context import AnalysisContext
 from repro.linalg import LinearSystem, SolverBackend, TripletMatrix, resolve_backend
 
@@ -131,7 +136,7 @@ class MNASystem:
         self._backend_request = backend
         self._backend: Optional[SolverBackend] = None
         # Compiled Newton stepper (built lazily by newton_state()).
-        self._newton: Optional[NewtonState] = None
+        self._newton: Optional[BatchNewtonState] = None
 
     # ------------------------------------------------------------------
     # Index management (delegated to the compiled structure)
@@ -293,22 +298,32 @@ class MNASystem:
         if self._newton is not None:
             # Same structure, fresh linear base: keep the stepper (and its
             # factorization skeleton), just rebind the value arrays.
-            self._newton.rebind(self._state)
+            self._newton.rebind(self._as_batch())
         return self
 
-    def newton_state(self) -> NewtonState:
-        """The compiled Newton stepper for this system's scenario.
+    def newton_state(self) -> BatchNewtonState:
+        """The compiled Newton stepper for this system's scenario: a
+        one-row :class:`~repro.analysis.compiled.BatchNewtonState` whose
+        row 0 the scalar Newton ladder and the transient integrator step.
 
         Built lazily (the first call probes the nonlinear stamp structure,
-        once per :class:`CompiledCircuit`) and kept across restamps; see
-        :class:`~repro.analysis.compiled.NewtonState`.
+        once per :class:`CompiledCircuit`) and kept across restamps.
         """
         if self._newton is None:
             program = self.compiled.newton_program(self.ctx)
-            self._newton = NewtonState(program, self.state,
-                                       backend=self.backend,
-                                       names=self.variable_names)
+            self._newton = BatchNewtonState(program, self._as_batch(),
+                                            backend=self.backend,
+                                            names=self.variable_names)
         return self._newton
+
+    def _as_batch(self) -> BatchStampState:
+        """This scenario's stamped values as a one-row batch (views)."""
+        state = self.state
+        return BatchStampState(
+            self.compiled, state.g_values[None], state.c_values[None],
+            state.b_dc[None], state.b_ac[None],
+            temperatures=np.array([self.ctx.temperature]),
+            gmins=np.array([self.ctx.gmin]))
 
     @property
     def newton_fallback(self) -> bool:

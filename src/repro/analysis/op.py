@@ -588,27 +588,34 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
 # Newton machinery
 # ----------------------------------------------------------------------
 
+#: The one row of a system's scalar Newton state.
+_ROW = np.zeros(1, dtype=np.int64)
+
+
 class _CompiledStep:
-    """Newton assembly on the compiled union pattern (the fast path)."""
+    """Newton assembly on the compiled union pattern (the fast path): row
+    0 of the system's one-row :class:`BatchNewtonState`."""
 
     def __init__(self, system: MNASystem):
-        self._system = system
+        self._ctx = system.ctx
         self._state = system.newton_state()
-        self.b_dc = self._state.b_dc
+        self.b_dc = self._state.b_dc[0]
 
     def set_gshunt(self, gshunt: float) -> None:
         self._state.set_gshunt(gshunt)
 
     def iterate(self, x: np.ndarray) -> np.ndarray:
         """Refill companions at ``x``; returns the right-hand side."""
-        return self._state.refill(self._system.solution_view(x),
-                                  self._system.ctx)
+        return self._state.refill_row(0, x, self._ctx)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._state.matvec(x)
+        return self._state.matvec_rows(_ROW, x[None])[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._state.solve(b)
+        x, failures = self._state.solve_rows(_ROW, b[None])
+        if failures:
+            raise failures[0]
+        return x[0]
 
 
 class _UncompiledStep:
@@ -645,11 +652,10 @@ def _newton_loop(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
     """Run Newton-Raphson to convergence (returning ``(x, iterations)``)
     or raise ConvergenceError.
 
-    The iteration count is part of the return value — not module state —
-    so concurrent solves (the thread-pool batch backend) each see their
-    own count.  The compiled stepper is used unless the circuit's
-    nonlinear stamp structure proves value-dependent, in which case the
-    system is flagged and every later loop uses the uncompiled path.
+    The iteration count is part of the return value, not module state.
+    The compiled stepper is used unless the circuit's nonlinear stamp
+    structure proves value-dependent, in which case the system is flagged
+    and every later loop uses the uncompiled path.
     """
     if not system.newton_fallback:
         try:

@@ -162,6 +162,8 @@ def _integrate_nonlinear(system: MNASystem, x0: np.ndarray, times: np.ndarray,
 def _integrate_nonlinear_compiled(system: MNASystem, x0: np.ndarray,
                                   times: np.ndarray, options: NewtonOptions,
                                   max_newton: int) -> np.ndarray:
+    """Trapezoidal Newton steps on row 0 of the system's one-row
+    :class:`~repro.analysis.compiled.BatchNewtonState`."""
     n = system.size
     data = np.zeros((len(times), n))
     data[0] = x0
@@ -170,13 +172,12 @@ def _integrate_nonlinear_compiled(system: MNASystem, x0: np.ndarray,
     ctx = system.ctx
     newton = system.newton_state()
     newton.set_gshunt(0.0)
-    matrix: np.ndarray = np.empty((n, n))
 
     for k in range(1, len(times)):
         h = times[k] - times[k - 1]
         a = 2.0 / h
         # Capacitances evaluated at the start-of-step solution.
-        C_step = newton.cap_dense(system.solution_view(x_prev), ctx)
+        C_step = newton.capacitance_dense(0, x_prev, ctx)
         b_t = system.transient_rhs(times[k])
         history = C_step @ (a * x_prev + xdot_prev)
         delta_b = (b_t - system.b_dc) + history
@@ -185,9 +186,9 @@ def _integrate_nonlinear_compiled(system: MNASystem, x0: np.ndarray,
         x = x_prev.copy()
         converged = False
         for _ in range(max_newton):
-            b_newton = newton.refill(system.solution_view(x), ctx)
-            np.multiply(C_step, a, out=matrix)
-            matrix += newton.matrix()
+            b_newton = newton.refill_row(0, x, ctx)
+            matrix = a * C_step
+            matrix += newton.dense_rows([0])[0]
             # delta_b already subtracts b_dc once; b_newton adds it back,
             # so the total is b(t) + companion currents + history.
             rhs = delta_b + b_newton

@@ -493,9 +493,9 @@ class LinearSystem:
         stats = type(self.backend).stats
         stats.inc("batch_solves")
         stats.inc("batched_systems", n_samples)
-        solutions = np.full((n_samples, self.size), np.nan, dtype=dtype)
         failures: Dict[int, Exception] = {}
         if self.backend.name == "sparse":
+            solutions = np.full((n_samples, self.size), np.nan, dtype=dtype)
             with _span("linalg.solve_batch", backend="sparse", n=self.size,
                        samples=n_samples):
                 for index in range(n_samples):
@@ -516,12 +516,12 @@ class LinearSystem:
                            n=self.size, samples=n_samples)
         try:
             with batch_span:
-                solutions[:] = np.linalg.solve(matrices,
-                                               rhs[..., None])[..., 0]
+                solutions = np.linalg.solve(matrices, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # At least one sample is singular: fall back to per-sample
             # solves so the healthy samples still come back and each
             # offender gets its own named diagnostic.
+            solutions = np.full((n_samples, self.size), np.nan, dtype=dtype)
             for index in range(n_samples):
                 try:
                     solutions[index] = np.linalg.solve(matrices[index],
@@ -535,8 +535,11 @@ class LinearSystem:
         # (or a near-singular system blowing up) come back as inf/nan rows
         # without raising.  Mirror the scalar factorize paths' guards so
         # garbage is a per-sample failure, never a "solved" result.
-        for index in range(n_samples):
-            if index in failures or np.all(np.isfinite(solutions[index])):
+        if np.isfinite(solutions).all():
+            return solutions, failures
+        for index in np.flatnonzero(~np.isfinite(solutions).all(axis=1)):
+            index = int(index)
+            if index in failures:
                 continue
             detail = ("non-finite matrix entries"
                       if not np.all(np.isfinite(matrices[index]))

@@ -158,7 +158,7 @@ class CompiledPattern:
     """
 
     __slots__ = ("n", "rows", "cols", "_key", "_csc_structure",
-                 "_structural_nnz", "_batch_structure")
+                 "_structural_nnz", "_flat")
 
     def __init__(self, n: int, rows, cols):
         self.n = int(n)
@@ -169,7 +169,8 @@ class CompiledPattern:
         self._key: Optional[str] = None
         self._csc_structure: Optional[Tuple] = None
         self._structural_nnz: Optional[int] = None
-        self._batch_structure: Optional[Tuple] = None
+        #: Each triplet's row-major position in a flattened dense matrix.
+        self._flat = self.rows * self.n + self.cols
 
     # ------------------------------------------------------------------
     @property
@@ -239,30 +240,30 @@ class CompiledPattern:
             self._csc_structure = (indptr, indices, scatter)
         return self._csc_structure
 
-    def _batch(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, segment_starts, flat_positions): the batch scatter plan.
+    def _replay_batch(self, values, positions: np.ndarray, width: int,
+                      dtype, out: Optional[np.ndarray]) -> np.ndarray:
+        """Accumulate a ``(N, nnz)`` value block into ``(N, width)`` rows,
+        triplet ``t`` of sample ``k`` landing at ``out[k, positions[t]]``.
 
-        ``order`` stably sorts the triplets by CSC slot, so summing each
-        slot's segment with ``np.add.reduceat`` adds contributions in the
-        original stamp order — the exact accumulation sequence of the
-        scalar ``np.add.at`` replay, at C speed along the whole sample
-        axis.  ``flat_positions[s]`` is slot ``s``'s row-major position
-        in a flattened dense matrix.
+        One unbuffered ``np.add.at`` over the flattened block adds every
+        sample's triplets in stamp order, so each row is bit for bit the
+        scalar replay (``np.add.reduceat`` would sum a slot with eight or
+        more contributions pairwise).
         """
-        if self._batch_structure is None:
-            indptr, indices, scatter = self._csc()
-            order = np.argsort(scatter, kind="stable")
-            sorted_slots = scatter[order]
-            if len(sorted_slots):
-                starts = np.flatnonzero(
-                    np.r_[True, sorted_slots[1:] != sorted_slots[:-1]])
-            else:
-                starts = np.empty(0, dtype=np.int64)
-            cols_of_slot = np.repeat(np.arange(self.n, dtype=np.int64),
-                                     np.diff(indptr))
-            flat_positions = indices * self.n + cols_of_slot
-            self._batch_structure = (order, starts, flat_positions)
-        return self._batch_structure
+        values = np.asarray(values, dtype=dtype)
+        if values.ndim != 2 or values.shape[1] != self.nnz:
+            raise ValueError(f"expected a (N, {self.nnz}) value block, got "
+                             f"shape {values.shape}")
+        n_samples = values.shape[0]
+        if out is None:
+            out = np.zeros((n_samples, width), dtype=dtype)
+        else:
+            out[:] = 0.0
+        if self.nnz:
+            offsets = np.arange(0, n_samples * width, width, dtype=np.int64)
+            np.add.at(out.reshape(-1), (offsets[:, None] + positions).ravel(),
+                      values.ravel())
+        return out
 
     def to_dense_batch(self, values: np.ndarray, dtype=float,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -271,38 +272,24 @@ class CompiledPattern:
         ``values[k]`` is one scenario's stamp-order value array (the rows
         of a :class:`~repro.analysis.compiled.BatchStampState` block); the
         result stacks every scenario's matrix along a leading sample axis,
-        ready for one batched LAPACK call.  Per-slot accumulation order
-        matches the scalar :meth:`to_dense` replay exactly, so each slice
-        is bit-for-bit the scalar assembly.
+        ready for one batched LAPACK call.  Each slice is bit for bit the
+        scalar :meth:`to_dense` replay.
         """
-        n_samples = np.asarray(values).shape[0]
-        if out is None:
-            out = np.zeros((n_samples, self.n, self.n), dtype=dtype)
-        else:
-            out[:] = 0.0
-        if len(self.rows):
-            _, _, flat_positions = self._batch()
-            flat = out.reshape(n_samples, self.n * self.n)
-            flat[:, flat_positions] = self.csc_data_batch(values, dtype=dtype)
-        return out
+        size = self.n * self.n
+        flat = None if out is None else out.reshape(out.shape[0], size)
+        flat = self._replay_batch(values, self._flat, size, dtype, flat)
+        return flat.reshape(-1, self.n, self.n) if out is None else out
 
     def csc_data_batch(self, values: np.ndarray, dtype=float) -> np.ndarray:
         """The CSC ``data`` arrays for a ``(N, nnz)`` value block, stacked.
 
-        Returns ``(N, structural_nnz)``: row ``k`` is exactly
-        ``csc_data(values[k])`` (same per-slot accumulation order).  This
-        is the sparse half of the batch kernel —
-        :meth:`~repro.linalg.backends.LinearSystem.solve_batch` feeds
-        each row to ``refactor`` under one cached symbolic ordering.
+        Returns ``(N, structural_nnz)``: row ``k`` is bit for bit
+        ``csc_data(values[k])``.  This is the sparse half of the batch
+        kernel — :meth:`~repro.linalg.backends.LinearSystem.solve_batch`
+        feeds each row to ``refactor`` under one cached symbolic ordering.
         """
-        values = np.asarray(values, dtype=dtype)
-        if values.ndim != 2 or values.shape[1] != self.nnz:
-            raise ValueError(f"expected a (N, {self.nnz}) value block, got "
-                             f"shape {values.shape}")
-        order, starts, _ = self._batch()
-        if not len(order):
-            return np.zeros((values.shape[0], 0), dtype=dtype)
-        return np.add.reduceat(values[:, order], starts, axis=1)
+        _, indices, scatter = self._csc()
+        return self._replay_batch(values, scatter, len(indices), dtype, None)
 
     def csc_data(self, values, dtype=float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The CSC ``data`` array for ``values`` (stamp order), nothing else.

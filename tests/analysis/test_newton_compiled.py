@@ -11,21 +11,42 @@ structure turns out to depend on the candidate solution.
 import numpy as np
 import pytest
 
+from repro import circuits
 from repro.analysis import (
     AnalysisContext,
     CompiledCircuit,
     MNASystem,
     NewtonOptions,
     operating_point,
+    transient_analysis,
 )
 from repro.circuit import CircuitBuilder
-from repro.circuit.elements import DiodeModel
+from repro.circuit.elements import DiodeModel, Step, VoltageSource
 from repro.circuit.elements.base import Element
-from repro.circuits import opamp_with_bias
 from repro.exceptions import AnalysisError, NetlistError
 from repro.linalg import SparseBackend
 
 TOLERANCE = 1e-9
+
+#: name -> circuit factory: every circuit family shipped in repro.circuits.
+CIRCUIT_FACTORIES = {
+    "parallel_rlc": lambda: circuits.parallel_rlc().circuit,
+    "series_rlc_divider": lambda: circuits.series_rlc_divider().circuit,
+    "two_pole_opamp_buffer": lambda: circuits.two_pole_opamp_buffer().circuit,
+    "two_pole_open_loop": lambda: circuits.two_pole_open_loop().circuit,
+    "opamp_buffer": lambda: circuits.opamp_buffer().circuit,
+    "opamp_open_loop": lambda: circuits.opamp_open_loop().circuit,
+    "opamp_with_bias": lambda: circuits.opamp_with_bias().circuit,
+    "bias_circuit": lambda: circuits.bias_circuit().circuit,
+    "simple_mirror": lambda: circuits.simple_mirror().circuit,
+    "buffered_mirror": lambda: circuits.buffered_mirror().circuit,
+    "emitter_follower": lambda: circuits.emitter_follower().circuit,
+    "source_follower": lambda: circuits.source_follower().circuit,
+    "rc_ladder": lambda: circuits.rc_ladder(25).circuit,
+    "rlc_ladder": lambda: circuits.rlc_ladder(10).circuit,
+    "amplifier_chain": lambda: circuits.amplifier_chain(
+        5, feedback_resistance=100e3).circuit,
+}
 
 
 def _diode_resistor():
@@ -36,19 +57,21 @@ def _diode_resistor():
     return builder.build()
 
 
-def _fallback_op(circuit, options=None):
+def _fallback_op(circuit, options=None, backend=None):
     """Operating point through the uncompiled (per-entry) Newton path."""
     system = MNASystem(circuit, AnalysisContext(
-        variables=dict(circuit.variables)))
+        variables=dict(circuit.variables)), backend=backend)
     system.newton_fallback = True
     return operating_point(None, system=system, options=options)
 
 
 class TestCompiledEquivalence:
-    def test_matches_fallback_on_the_full_opamp(self):
-        circuit = opamp_with_bias().circuit
-        compiled = operating_point(circuit)
-        fallback = _fallback_op(circuit)
+    @pytest.mark.parametrize("name", sorted(CIRCUIT_FACTORIES))
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    def test_matches_fallback_on_every_bundled_circuit(self, name, backend):
+        circuit = CIRCUIT_FACTORIES[name]()
+        compiled = operating_point(circuit, backend=backend)
+        fallback = _fallback_op(circuit, backend=backend)
         scale = max(float(np.max(np.abs(fallback.x))), 1.0)
         assert np.max(np.abs(compiled.x - fallback.x)) <= TOLERANCE * scale
         assert compiled.strategy == fallback.strategy
@@ -93,6 +116,32 @@ class TestCompiledEquivalence:
         fresh = operating_point(circuit, variables={"rsrc": 10e3})
         scale = max(float(np.max(np.abs(fresh.x))), 1.0)
         assert np.max(np.abs(warm.x - fresh.x)) <= TOLERANCE * scale
+
+
+class TestTransientEquivalence:
+    @pytest.mark.parametrize("name", ["emitter_follower", "source_follower",
+                                      "opamp_buffer"])
+    def test_nonlinear_transient_matches_fallback(self, name, monkeypatch):
+        """The full-nonlinear integrator on the compiled Newton row equals
+        the per-entry companion assembly to 1e-9 through a step."""
+        circuit = CIRCUIT_FACTORIES[name]()
+        source = next(e for e in circuit
+                      if isinstance(e, VoltageSource) and e.has_ac)
+        level = source.dc_value(AnalysisContext(
+            variables=dict(circuit.variables)))
+        source.waveform = Step(level, level + 0.1, time=20e-9, rise=2e-9)
+        compiled = transient_analysis(circuit, stop_time=200e-9,
+                                      time_step=1e-9)
+        monkeypatch.setattr(MNASystem, "newton_fallback", property(
+            lambda self: True, lambda self, value: None))
+        fallback = transient_analysis(circuit, stop_time=200e-9,
+                                      time_step=1e-9)
+        assert np.array_equal(compiled.times, fallback.times)
+        # The step moves the circuit: the comparison is not of constants.
+        assert np.ptp(compiled.data, axis=0).max() > 1e-3
+        scale = max(float(np.max(np.abs(fallback.data))), 1.0)
+        assert np.max(np.abs(compiled.data - fallback.data)) \
+            <= TOLERANCE * scale
 
 
 class TestSparseNewtonKernel:

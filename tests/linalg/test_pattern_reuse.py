@@ -64,6 +64,31 @@ class TestCompiledPattern:
         assert pattern.to_dense([]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert pattern.to_csc([]).nnz == 0
         assert pattern.density() == 0.0
+        assert pattern.to_dense_batch(np.zeros((3, 0))).shape == (3, 2, 2)
+        assert pattern.csc_data_batch(np.zeros((3, 0))).shape == (3, 0)
+
+    def test_batch_densify_is_bitwise_the_scalar_replay(self):
+        # The op-amp's Newton union pattern stacks 8-11 contributions on a
+        # few slots, where a pairwise sum would differ from the scalar
+        # in-order replay in the last bit.
+        from repro.analysis import AnalysisContext
+        from repro.circuits import opamp_with_bias
+
+        compiled = CompiledCircuit(opamp_with_bias().circuit)
+        compiled.restamp()
+        pattern = compiled.newton_program(AnalysisContext(
+            variables=dict(compiled.circuit.variables))).pattern
+        assert np.bincount(pattern._csc()[2]).max() >= 8
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((4, pattern.nnz)) \
+            * 10.0 ** rng.uniform(-15.0, 3.0, (4, pattern.nnz))
+        dense = pattern.to_dense_batch(values)
+        data = pattern.csc_data_batch(values)
+        for k in range(len(values)):
+            np.testing.assert_allclose(dense[k], pattern.to_dense(values[k]),
+                                       rtol=0, atol=0)
+            np.testing.assert_allclose(data[k], pattern.csc_data(values[k]),
+                                       rtol=0, atol=0)
 
 
 class TestSymbolicOrderingCache:

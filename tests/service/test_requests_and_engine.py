@@ -154,12 +154,20 @@ class TestExecuteRequest:
 
         netlist = opamp_buffer_netlist()
         assert "C1 zx first {c1}" in netlist
-        response = execute_request(AnalysisRequest(
-            mode="all-nodes",
-            netlist=netlist.replace("C1 zx first {c1}", "C1 zx first 1e308")))
-        assert response.status == "failed"
-        assert response.result is None and response.error
-        json.dumps(response.to_dict(), allow_nan=False)
+        for backend in ("dense", "sparse"):
+            response = execute_request(AnalysisRequest(
+                mode="all-nodes", backend=backend,
+                netlist=netlist.replace("C1 zx first {c1}",
+                                        "C1 zx first 1e308")))
+            assert response.status == "failed"
+            assert response.result is None and response.error
+            # The reason names the AC layer, the capacitor's node pair
+            # and its magnitude, not a singular pencil.
+            assert response.error.startswith("AC layer: the capacitance "
+                                             "between"), response.error
+            assert "'zx'" in response.error and "'first'" in response.error
+            assert "1e+308 F" in response.error
+            json.dumps(response.to_dict(), allow_nan=False)
 
     def test_variable_override_changes_result(self):
         nominal = execute_request(AnalysisRequest(netlist=RLC_NETLIST))
