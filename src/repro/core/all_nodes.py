@@ -278,8 +278,9 @@ def _screen(circuit: Circuit, options_rows: Sequence[AllNodesOptions],
         except Exception as exc:
             outputs[k] = exc
 
-    # The sweep's QZ reduction holds every sample's poles for free: hold
-    # each reported loop against them (the dense path only).
+    # The reduced sweep's QZ reduction holds every sample's poles for
+    # free: hold each reported loop against them (dense systems of up to
+    # REDUCED_SWEEP_MAX_SIZE unknowns only).
     reduction = sweeper.reduction()
     if reduction is not None:
         registry = global_registry()

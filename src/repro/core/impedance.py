@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.ac import solve_ac_stacked_batch
+from repro.analysis.ac import REDUCED_SWEEP_MAX_SIZE, solve_ac_stacked_batch
 from repro.analysis.compiled import BatchLinearization, CompiledCircuit
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
@@ -78,10 +78,14 @@ class BatchImpedanceSweeper:
         return node in self.compiled.node_names
 
     def reduction(self):
-        """The batch's cached QZ reduction on the dense path (its
-        :meth:`~repro.analysis.ac.PencilReduction.poles` are every
-        sample's natural frequencies), ``None`` on the sparse path."""
-        if self._backend.name == "sparse":
+        """The batch's cached QZ reduction when the sweep runs the reduced
+        path (its :meth:`~repro.analysis.ac.PencilReduction.poles` are
+        every sample's natural frequencies); ``None`` on the sparse path
+        and above :data:`~repro.analysis.ac.REDUCED_SWEEP_MAX_SIZE`
+        unknowns, where the sweep factors per frequency and a reduction
+        would be computed for the poles alone."""
+        if self._backend.name == "sparse" \
+                or self.compiled.size > REDUCED_SWEEP_MAX_SIZE:
             return None
         return self._lin.reduction()
 

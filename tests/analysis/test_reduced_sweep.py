@@ -23,8 +23,10 @@ from repro.analysis.ac import (
 from repro.analysis.compiled import compile_circuit, linearize_batch
 from repro.analysis.sweeps import log_sweep
 from repro.circuit.builder import CircuitBuilder
+from repro.circuits import opamp_buffer, rc_ladder
 from repro.core.all_nodes import (
     AllNodesOptions,
+    analyze_all_nodes,
     analyze_all_nodes_batch,
     pole_mismatches,
 )
@@ -347,6 +349,25 @@ class TestPoleCrossCheck:
         for node in worst:
             key = f"verdict.pole_mismatch.{node}"
             assert after[key] - before.get(key, 0) == len(TEMPS)
+
+    @pytest.mark.parametrize("factory, reductions", [
+        (lambda: rc_ladder(60), 0),     # LU sweep: no QZ for the poles
+        (opamp_buffer, 1),              # reduced sweep: its QZ serves both
+    ])
+    def test_cross_check_pays_no_extra_reduction(self, factory, reductions,
+                                                 monkeypatch):
+        import repro.analysis.ac as ac_module
+
+        real = ac_module.reduce_pencils
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ac_module, "reduce_pencils", counting)
+        analyze_all_nodes(factory().circuit, AllNodesOptions(backend="dense"))
+        assert len(calls) == reductions
 
 
 class TestLargeDenseSystems:
