@@ -964,14 +964,15 @@ class BatchNewtonState:
 
     Owns one ``(N, nnz)`` value plane over the compiled union Newton
     pattern — row ``k`` is sample ``k``'s linear base + companion slots +
-    gshunt diagonal.  The batched Newton loop in
-    :func:`repro.analysis.op.solve_nonlinear_dc_batch` drives it with
-    *row index arrays* (the convergence mask): only the still-active
-    samples are refilled, solved and residual-checked, so converged
-    samples stop paying.  The scalar Newton ladder and the full-nonlinear
-    transient integrator step row 0 of a one-row state
-    (:meth:`~repro.analysis.mna.MNASystem.newton_state`): one assembly
-    serves N rows and one row.
+    gshunt diagonal.  The one DC Newton iteration
+    (:func:`repro.analysis.op._newton_rows`) drives it with *row index
+    arrays* (the convergence mask): only the still-active rows are
+    refilled, solved and residual-checked, so converged samples stop
+    paying.  The batched solve runs it over many rows, the scalar ladder
+    over row 0 of a one-row state
+    (:meth:`~repro.analysis.mna.MNASystem.newton_state`), which the
+    full-nonlinear transient integrator steps too: one assembly serves N
+    rows and one row.
 
     Two refill paths exist, mirroring ``restamp_batch``:
 
@@ -981,7 +982,8 @@ class BatchNewtonState:
       code or non-finite results — vectorization is an optimization,
       never a behaviour change.
     * :meth:`refill_row` is the exact scalar refill of one sample, used
-      by the scalar ladder and when the vector pass is unavailable.
+      for single rows, temperature-mixed batches and when the vector
+      pass is unavailable.
 
     Residuals (:meth:`matvec_rows`) and steps (:meth:`solve_rows`) read
     the same assembled matrices: one batched LAPACK call on the dense

@@ -18,7 +18,9 @@ rebuilds), ``gshunt`` fills a prebuilt diagonal slot, and large sparse
 systems refactor one CSC skeleton per iteration with the symbolic
 ordering cached per pattern.  Elements whose nonlinear stamp-call
 structure is not value-independent fall back to the classic per-entry
-assembly automatically.
+assembly automatically.  One iteration (:func:`_newton_rows`) serves
+every rung of the ladder (over row 0 of the one-row state) and the
+batched solve :func:`solve_nonlinear_dc_batch` (over many rows).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.analysis.compiled import (
     BatchNewtonState,
     BatchStampState,
     CompiledCircuit,
-    _CompiledSolutionView,
 )
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
@@ -271,43 +272,16 @@ def solve_linear_dc_batch(batch, backend=None
     return x, failures
 
 
-class _CompiledSystemShim:
-    """System-like view over a compiled circuit for per-sample checks.
-
-    Exposes exactly the read surface :func:`_check_physical` and
-    :func:`_collect_device_info` consume (names, nonlinear elements,
-    ``solution_view``, ``ctx``) without building an
-    :class:`~repro.analysis.mna.MNASystem` per batched sample.  ``ctx``
-    is swapped per sample by the batched loop.
-    """
-
-    def __init__(self, compiled: CompiledCircuit, ctx: AnalysisContext):
-        self.compiled = compiled
-        self.ctx = ctx
-        self.circuit = compiled.circuit
-        self.node_names = compiled.node_names
-        self.branch_names = compiled.branch_names
-        self.variable_names = compiled.variable_names
-        self.nonlinear_elements = [e for e in compiled.circuit
-                                   if e.is_nonlinear]
-
-    def index_of(self, name: str) -> Optional[int]:
-        return self.compiled.index_of(name)
-
-    def solution_view(self, x: np.ndarray):
-        return _CompiledSolutionView(self.compiled, x)
-
-
 def batch_device_info(batch: BatchStampState, index: int, x_row: np.ndarray
                       ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, str]]:
     """Per-device operating-point summaries of one batched sample.
 
     The batched twin of the diagnostics block :func:`operating_point`
     attaches to every scalar result: evaluated against sample ``index``'s
-    exact scalar context, over the compiled index (no MNASystem built).
+    exact scalar context.
     """
-    shim = _CompiledSystemShim(batch.compiled, batch.sample_context(index))
-    return _collect_device_info(shim, x_row)
+    system = batch.compiled.system(ctx=batch.sample_context(index))
+    return _collect_device_info(system, x_row)
 
 
 def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
@@ -318,15 +292,13 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     scenario batch.
 
     ``batch`` is a :class:`~repro.analysis.compiled.BatchStampState`
-    (one restamped topology, N scenarios).  All samples iterate together
-    on one ``(N, nnz)`` companion value plane
-    (:class:`~repro.analysis.compiled.BatchNewtonState`): each iteration
-    refills the companions of every still-active sample — one array
-    pass over the devices when the batch is temperature-uniform, an
-    exact per-sample pass otherwise — and solves the per-iteration
-    linearizations with one :meth:`~repro.linalg.LinearSystem.solve_batch`
-    call.  A per-sample convergence mask shrinks the active set, so
-    converged samples stop paying.
+    (one restamped topology, N scenarios).  All samples run the one DC
+    iteration (:func:`_newton_rows`) together on one ``(N, nnz)``
+    companion value plane
+    (:class:`~repro.analysis.compiled.BatchNewtonState`), each step one
+    :meth:`~repro.linalg.LinearSystem.solve_batch` call; a per-sample
+    convergence mask shrinks the active set, so converged samples stop
+    paying.
 
     Samples the batched plain-Newton loop cannot finish — divergence,
     singular linearizations, non-physical accepted points, or device
@@ -389,11 +361,6 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
                 f"initial-guess plane has shape {x0_plane.shape}, "
                 f"expected ({n_samples}, {n})")
 
-    demote_rows: list = []
-
-    def _demote_all(rows) -> None:
-        demote_rows.extend(int(k) for k in rows)
-
     def _run_scalar(k: int) -> None:
         ctx = batch.sample_context(k)
         system = compiled.system(ctx=ctx, backend=backend)
@@ -407,24 +374,17 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
             iterations_out[k] = iters
             strategies[k] = strategy
 
-    # Structure gate: probe the compiled Newton pattern once; circuits
-    # whose companion structure is value-dependent take the scalar
-    # (uncompiled) ladder per sample, exactly as the scalar path would.
-    program = None
-    if healthy.size and not compiled.newton_fallback:
-        try:
-            program = compiled.newton_program(
-                batch.sample_context(int(healthy[0])))
-        except CompanionStructureError:
-            compiled.newton_fallback = True
-    if program is None:
-        _demote_all(healthy)
-        healthy = healthy[:0]
+    # Circuits whose companion structure is value-dependent take the
+    # scalar (uncompiled) ladder per sample, exactly as the scalar path
+    # would.
+    demote_rows: list = []
+    if compiled.newton_fallback:
+        demote_rows, healthy = healthy.tolist(), healthy[:0]
 
     # Pilot warm start: one exact scalar solve seeds the whole batch.
     # ``x0_plane`` stays the cold guess — demotions restart from it.
     warm_plane = x0_plane
-    if pilot and x0 is None and program is not None and healthy.size >= 2:
+    if pilot and x0 is None and healthy.size >= 2:
         pilot_k = int(healthy[0])
         _run_scalar(pilot_k)
         healthy = healthy[1:]
@@ -434,153 +394,43 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
 
     batch_span = _span("newton.batch", samples=int(len(batch)),
                        healthy=int(healthy.size))
-    converged = 0
-    iteration = 0
-    use_vector = False
+    converged: Dict[int, int] = {}
+    active_sizes: list = []
+    vectorized = False
     with batch_span:
         if healthy.size:
-            backend_obj = resolve_backend(backend, size=n,
-                                          density=compiled.pattern_G.density())
-            state = BatchNewtonState(program, batch, backend=backend_obj,
-                                     names=compiled.variable_names)
-            state.set_gshunt(options.gshunt)
-            use_vector = state.vector_ready
-            shim = _CompiledSystemShim(compiled, batch.sample_context(
-                int(healthy[0])))
             x = warm_plane.copy()
-            delta_conv = np.zeros(n_samples, dtype=bool)
-            histories: Dict[int, list] = {int(k): [] for k in healthy}
-            row_ctxs: Dict[int, AnalysisContext] = {}
-            active = healthy.copy()
-
-            while active.size and iteration < options.max_iterations:
-                iteration += 1
-                _NEWTON_BATCH_ITERATIONS.inc(int(active.size))
-                _NEWTON_SAMPLES_ACTIVE.observe(float(active.size))
-
-                # ---- companion refill of the active rows --------------
-                b = None
-                if use_vector:
-                    try:
-                        b = state.refill_vector(active, x[active])
-                    except CompanionStructureError:
-                        compiled.newton_fallback = True
-                        _demote_all(active)
-                        active = active[:0]
-                        break
-                    except Exception:
-                        # Array-shy or numerically hostile device code.
-                        # At iteration 1 no limiting state exists yet, so
-                        # the exact per-sample refill can redo the same
-                        # iteration; later the vector limiting history is
-                        # unrecoverable, so the active set demotes whole.
-                        state.discard_vector_state()
-                        use_vector = False
-                        if iteration > 1:
-                            _demote_all(active)
-                            active = active[:0]
-                            break
-                if b is None:
-                    b = np.empty((active.size, n))
-                    keep = np.ones(active.size, dtype=bool)
-                    structure_changed = False
-                    for position, k in enumerate(active):
-                        k = int(k)
-                        ctx = row_ctxs.get(k)
-                        if ctx is None:
-                            ctx = row_ctxs[k] = batch.sample_context(k)
-                            ctx.reset_device_states()
-                        try:
-                            b[position] = state.refill_row(k, x[k], ctx)
-                        except CompanionStructureError:
-                            compiled.newton_fallback = True
-                            structure_changed = True
-                            break
-                        except Exception:
-                            keep[position] = False
-                            demote_rows.append(k)
-                    if structure_changed:
-                        _demote_all(active)
-                        active = active[:0]
-                        break
-                    if not keep.all():
-                        active = active[keep]
-                        b = b[keep]
-                        if not active.size:
-                            break
-
-                # ---- acceptance of delta-converged rows ---------------
-                check = delta_conv[active]
-                if check.any():
-                    rows = active[check]
-                    positions = np.flatnonzero(check)
-                    Gx = state.matvec_rows(rows, x[rows])
-                    b_rows = b[positions]
-                    residual = np.abs(Gx - b_rows)
-                    current_scale = np.maximum(np.abs(Gx), np.abs(b_rows))
-                    ok = np.all(residual <= options.reltol * current_scale
-                                + options.abstol, axis=1)
-                    drop = np.zeros(active.size, dtype=bool)
-                    for i, k in enumerate(rows):
-                        k = int(k)
-                        entry = histories[k][-1]
-                        entry["residual_norm"] = \
-                            float(np.max(residual[i])) if n else 0.0
-                        entry["residual_ok"] = bool(ok[i])
-                        if not ok[i]:
-                            continue
-                        shim.ctx = row_ctxs.get(k) or batch.sample_context(k)
-                        drop[positions[i]] = True
-                        try:
-                            _check_physical(shim, x[k], options)
-                        except ConvergenceError:
-                            # Non-physical point: the scalar ladder's
-                            # homotopy strategies find the real one.
-                            demote_rows.append(k)
-                        else:
-                            x_out[k] = x[k]
-                            iterations_out[k] = iteration
-                            strategies[k] = "newton-batch"
-                            converged += 1
-                    if drop.any():
-                        active = active[~drop]
-                        b = b[~drop]
-                        if not active.size:
-                            break
-
-                # ---- one batched Newton step --------------------------
-                x_new, solve_failures = state.solve_rows(active, b)
-                if solve_failures:
-                    keep = np.ones(active.size, dtype=bool)
-                    for position in solve_failures:
-                        keep[position] = False
-                        demote_rows.append(int(active[position]))
-                    active = active[keep]
-                    x_new = x_new[keep]
-                    if not active.size:
-                        break
-                delta = np.abs(x_new - x[active])
-                tol = options.reltol * np.maximum(np.abs(x_new),
-                                                  np.abs(x[active])) \
-                    + options.vntol
-                conv = np.all(delta <= tol, axis=1)
-                delta_conv[active] = conv
-                for i, k in enumerate(active):
-                    histories[int(k)].append({
-                        "iteration": iteration,
-                        "delta_norm": float(np.max(delta[i])) if n else 0.0,
-                        "delta_converged": bool(conv[i])})
-                x[active] = x_new
-
-            # Leftovers at max_iterations (or after a structure change)
-            # take the exact scalar ladder from their original guess.
-            _demote_all(active)
+            try:
+                program = compiled.newton_program(
+                    batch.sample_context(int(healthy[0])))
+                state = BatchNewtonState(
+                    program, batch, names=compiled.variable_names,
+                    backend=resolve_backend(
+                        backend, size=n, density=compiled.pattern_G.density()))
+                converged, row_failures, active_sizes, vectorized = \
+                    _newton_rows(state, healthy, x, compiled.system(),
+                                 {k: batch.sample_context(k)
+                                  for k in healthy.tolist()},
+                                 options, gshunt=options.gshunt)
+            except CompanionStructureError:
+                compiled.newton_fallback = True
+                row_failures = healthy.tolist()
+            for k, count in converged.items():
+                x_out[k] = x[k]
+                iterations_out[k] = count
+                strategies[k] = "newton-batch"
+            # Every row the batched loop could not finish takes the exact
+            # scalar ladder from its original guess.
+            demote_rows.extend(row_failures)
+            _NEWTON_BATCH_ITERATIONS.inc(sum(active_sizes))
+            for size in active_sizes:
+                _NEWTON_SAMPLES_ACTIVE.observe(float(size))
 
         _NEWTON_BATCH_DEMOTIONS.inc(len(demote_rows))
         for k in demote_rows:
             _run_scalar(k)
-        batch_span.set(iterations=int(iteration), converged=int(converged),
-                       demoted=len(demote_rows), vectorized=bool(use_vector))
+        batch_span.set(iterations=len(active_sizes), converged=len(converged),
+                       demoted=len(demote_rows), vectorized=vectorized)
     return x_out, iterations_out, strategies, failures
 
 
@@ -592,57 +442,193 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
 _ROW = np.zeros(1, dtype=np.int64)
 
 
-class _CompiledStep:
-    """Newton assembly on the compiled union pattern (the fast path): row
-    0 of the system's one-row :class:`BatchNewtonState`."""
-
-    def __init__(self, system: MNASystem):
-        self._ctx = system.ctx
-        self._state = system.newton_state()
-        self.b_dc = self._state.b_dc[0]
-
-    def set_gshunt(self, gshunt: float) -> None:
-        self._state.set_gshunt(gshunt)
-
-    def iterate(self, x: np.ndarray) -> np.ndarray:
-        """Refill companions at ``x``; returns the right-hand side."""
-        return self._state.refill_row(0, x, self._ctx)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._state.matvec_rows(_ROW, x[None])[0]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, failures = self._state.solve_rows(_ROW, b[None])
-        if failures:
-            raise failures[0]
-        return x[0]
-
-
 class _UncompiledStep:
-    """Classic per-entry companion stamping (structure-change fallback)."""
+    """The reference one-row Newton state: classic per-entry companion
+    stamping (:meth:`~repro.analysis.mna.MNASystem.newton_matrices`) for
+    circuits whose companion structure changes with the solution.
+
+    It has the row methods of :class:`BatchNewtonState` that the DC
+    iteration and the transient step loop use, so both drive either.
+    """
 
     def __init__(self, system: MNASystem):
         self._system = system
         self._gshunt = 0.0
         self._G: Optional[np.ndarray] = None
-        self.b_dc = system.b_dc
+        self.b_dc = system.b_dc[None]
 
     def set_gshunt(self, gshunt: float) -> None:
         self._gshunt = gshunt
 
-    def iterate(self, x: np.ndarray) -> np.ndarray:
+    def refill_row(self, row: int, x: np.ndarray, ctx) -> np.ndarray:
         G, b = self._system.newton_matrices(x)
         if self._gshunt:
-            G = G.copy()
             G[np.diag_indices_from(G)] += self._gshunt
         self._G = G
         return b
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._G @ x
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        return self._G[None]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._system.solve(self._G, b)
+    def matvec_rows(self, rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+        return (self._G @ x_rows[0])[None]
+
+    def solve_rows(self, rows: np.ndarray, b_rows: np.ndarray):
+        try:
+            return self._system.solve(self._G, b_rows[0])[None], {}
+        except SingularMatrixError as exc:
+            return np.full_like(b_rows, np.nan), {0: exc}
+
+    def capacitance_dense(self, row: int, x: np.ndarray, ctx) -> np.ndarray:
+        return self._system.small_signal_matrices(x)[1]
+
+
+def _on_newton_state(system: MNASystem, run):
+    """``run(state)`` on the system's compiled one-row Newton state, or on
+    the reference :class:`_UncompiledStep` once the circuit's nonlinear
+    stamp structure proves value-dependent (the system is then flagged
+    and every later run takes the reference state)."""
+    if not system.newton_fallback:
+        try:
+            return run(system.newton_state())
+        except CompanionStructureError:
+            system.newton_fallback = True
+    return run(_UncompiledStep(system))
+
+
+def _newton_rows(state, rows: np.ndarray, x: np.ndarray, system, contexts,
+                 options: NewtonOptions, gshunt: float = 0.0,
+                 source_scale: float = 1.0, span=None):
+    """Plain Newton-Raphson over ``rows`` of a Newton state: the one DC
+    iteration of the scalar ladder (row 0 of a one-row state) and of
+    :func:`solve_nonlinear_dc_batch` (its healthy samples).
+
+    Each iteration refills the companions of the still-active rows,
+    accepts the rows that stopped moving once their KCL residual agrees
+    and :func:`_check_physical` passes, and steps the rest.  The
+    vectorized refill runs only over two or more rows at one temperature
+    (the rule of :func:`~repro.analysis.compiled.linearize_batch`);
+    otherwise each row refills exactly under ``contexts[row]``.  ``x`` is
+    the ``(state rows, n)`` candidate plane, updated in place; ``system``
+    is an :class:`~repro.analysis.mna.MNASystem` of the circuit for the
+    physical check; ``span`` (optional) receives a ``newton.iteration``
+    event per row step.  A changed companion structure raises
+    ``CompanionStructureError``.
+
+    Returns ``(converged, failures, active_sizes, vectorized)``: each
+    converged row's iteration count, each failed row's exception (a
+    ``ConvergenceError`` carries the row's per-iteration ``history``),
+    the active-set size of every iteration and whether the vectorized
+    refill ran.
+    """
+    n = x.shape[1]
+    state.set_gshunt(gshunt)
+    use_vector = rows.size >= 2 and state.vector_ready
+    histories: Dict[int, list] = {k: [] for k in rows.tolist()}
+    converged: Dict[int, int] = {}
+    failures: Dict[int, Exception] = {}
+    active_sizes: list = []
+    delta_conv = np.zeros(len(x), dtype=bool)
+    active = rows
+    iteration = 0
+    while active.size and iteration < options.max_iterations:
+        iteration += 1
+        active_sizes.append(int(active.size))
+        keep = np.ones(active.size, dtype=bool)
+        b = None
+        if use_vector:
+            try:
+                b = state.refill_vector(active, x[active])
+            except Exception as exc:
+                if isinstance(exc, CompanionStructureError):
+                    raise
+                # Array-shy or numerically hostile device code.  At
+                # iteration 1 no limiting state exists yet, so the exact
+                # row refill redoes the same iteration; later the vector
+                # limiting history is unrecoverable and every row fails.
+                state.discard_vector_state()
+                use_vector = False
+                if iteration > 1:
+                    failures.update(dict.fromkeys(active.tolist(), exc))
+                    keep[:] = False
+                    b = np.empty((active.size, n))
+        if b is None:
+            b = np.empty((active.size, n))
+            for position, k in enumerate(active.tolist()):
+                try:
+                    b[position] = state.refill_row(k, x[k], contexts[k])
+                except Exception as exc:
+                    if isinstance(exc, CompanionStructureError):
+                        raise
+                    keep[position] = False
+                    failures[k] = exc
+        if source_scale != 1.0:
+            b = b - (1.0 - source_scale) * state.b_dc[active]
+
+        # Accept a row that stopped moving only when the freshly stamped
+        # companions (which reflect any remaining junction-voltage
+        # limiting) agree with it, i.e. its KCL residual is small.
+        positions = np.flatnonzero(delta_conv[active] & keep)
+        if positions.size:
+            checked = active[positions]
+            Gx = state.matvec_rows(checked, x[checked])
+            residual = np.abs(Gx - b[positions])
+            current_scale = np.maximum(np.abs(Gx), np.abs(b[positions]))
+            ok = np.all(residual <= options.reltol * current_scale
+                        + options.abstol, axis=1)
+            for i, k in enumerate(checked.tolist()):
+                histories[k][-1].update(
+                    residual_norm=float(np.max(residual[i])) if n else 0.0,
+                    residual_ok=bool(ok[i]))
+                if not ok[i]:
+                    continue
+                keep[positions[i]] = False
+                try:
+                    _check_physical(system, x[k], options, contexts[k])
+                except ConvergenceError as exc:
+                    # Non-physical: the ladder's homotopies find the real one.
+                    failures[k] = exc
+                else:
+                    converged[k] = iteration
+        if not keep.all():
+            active, b = active[keep], b[keep]
+            if not active.size:
+                break
+
+        x_new, solve_failures = state.solve_rows(active, b)
+        if solve_failures:
+            keep = np.ones(active.size, dtype=bool)
+            for position, exc in solve_failures.items():
+                keep[position] = False
+                failures[int(active[position])] = exc
+            active, x_new = active[keep], x_new[keep]
+        x_old = x[active]
+        delta = np.abs(x_new - x_old)
+        tol = options.reltol * np.maximum(np.abs(x_new), np.abs(x_old)) \
+            + options.vntol
+        conv = np.all(delta <= tol, axis=1)
+        delta_conv[active] = conv
+        for i, k in enumerate(active.tolist()):
+            entry = {"iteration": iteration,
+                     "delta_norm": float(np.max(delta[i])) if n else 0.0,
+                     "delta_converged": bool(conv[i])}
+            histories[k].append(entry)
+            if span is not None:
+                span.add_event("newton.iteration", **entry)
+        x[active] = x_new
+
+    for i, k in enumerate(active.tolist()):     # still moving at the limit
+        worst = int(np.argmax(delta[i] / np.maximum(tol[i], 1e-30)))
+        failures[k] = ConvergenceError(
+            "Newton iteration did not converge", iterations=iteration,
+            worst_node=system.variable_names[worst],
+            residual=float(delta[i, worst]))
+    # The per-row trail is kept regardless of tracing (it is bounded by
+    # max_iterations) so a non-convergence is diagnosable after the fact.
+    for k, exc in failures.items():
+        if isinstance(exc, ConvergenceError) and exc.history is None:
+            exc.history = histories[k]
+    return converged, failures, active_sizes, use_vector
 
 
 def _newton_loop(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
@@ -652,102 +638,50 @@ def _newton_loop(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
     """Run Newton-Raphson to convergence (returning ``(x, iterations)``)
     or raise ConvergenceError.
 
-    The iteration count is part of the return value, not module state.
-    The compiled stepper is used unless the circuit's nonlinear stamp
-    structure proves value-dependent, in which case the system is flagged
-    and every later loop uses the uncompiled path.
+    The iteration is :func:`_newton_rows` over row 0 of the system's
+    one-row Newton state (see :func:`_on_newton_state`); the iteration
+    count is part of the return value, not module state.
     """
-    if not system.newton_fallback:
+    def run(state) -> Tuple[np.ndarray, int]:
+        ctx = system.ctx
+        saved_gmin = ctx.gmin
+        if gmin_override is not None:
+            ctx.gmin = gmin_override
+        ctx.reset_device_states()
+        x = x0[None].copy()
+        _NEWTON_LOOPS.inc()
+        loop_span = _span("newton.loop",
+                          compiled=not isinstance(state, _UncompiledStep),
+                          gmin=ctx.gmin, source_scale=source_scale,
+                          gshunt=gshunt)
         try:
-            return _run_newton(system, _CompiledStep(system), x0, options,
-                               gmin_override, source_scale, gshunt)
-        except CompanionStructureError:
-            system.newton_fallback = True
-    return _run_newton(system, _UncompiledStep(system), x0, options,
-                       gmin_override, source_scale, gshunt)
+            with loop_span:
+                converged, failures, _, _ = _newton_rows(
+                    state, _ROW, x, system, {0: ctx}, options, gshunt,
+                    source_scale, loop_span)
+                exc = failures.get(0)
+                if isinstance(exc, ConvergenceError):
+                    _NEWTON_FAILURES.inc()
+                # Converged, or out of iterations: a non-physical point
+                # or a singular step leaves the counts alone.
+                iterations = converged.get(0, getattr(exc, "iterations", None))
+                if iterations is not None:
+                    _NEWTON_ITERATIONS.inc(iterations)
+                    _NEWTON_ITERATIONS_PER_LOOP.observe(iterations)
+                    loop_span.set(iterations=iterations, converged=exc is None)
+                if exc is not None:
+                    raise exc
+                return x[0], iterations
+        finally:
+            ctx.gmin = saved_gmin
+
+    return _on_newton_state(system, run)
 
 
-def _run_newton(system: MNASystem, stepper, x0: np.ndarray,
-                options: NewtonOptions, gmin_override: Optional[float],
-                source_scale: float, gshunt: float) -> Tuple[np.ndarray, int]:
-    ctx = system.ctx
-    saved_gmin = ctx.gmin
-    if gmin_override is not None:
-        ctx.gmin = gmin_override
-    ctx.reset_device_states()
-    stepper.set_gshunt(gshunt)
-    x = x0.copy()
-    delta_converged = False
-    # Per-iteration diagnostic trail: kept regardless of tracing (it is
-    # bounded by max_iterations) and attached to the ConvergenceError on
-    # failure so the non-convergence is diagnosable after the fact.
-    history = []
-    _NEWTON_LOOPS.inc()
-    loop_span = _span("newton.loop",
-                      compiled=not isinstance(stepper, _UncompiledStep),
-                      gmin=ctx.gmin, source_scale=source_scale,
-                      gshunt=gshunt)
-    try:
-        with loop_span:
-            for iteration in range(1, options.max_iterations + 1):
-                b = stepper.iterate(x)
-                if source_scale != 1.0:
-                    b = b - (1.0 - source_scale) * stepper.b_dc
-                if delta_converged:
-                    # The voltages stopped moving on the previous iteration;
-                    # accept only when the freshly stamped companions (which
-                    # reflect any remaining junction-voltage limiting) agree
-                    # with the solution, i.e. the KCL residual is small.
-                    Gx = stepper.matvec(x)
-                    residual = np.abs(Gx - b)
-                    current_scale = np.maximum(np.abs(Gx), np.abs(b))
-                    residual_ok = bool(np.all(
-                        residual <= options.reltol * current_scale
-                        + options.abstol))
-                    history[-1]["residual_norm"] = float(np.max(residual)) \
-                        if residual.size else 0.0
-                    history[-1]["residual_ok"] = residual_ok
-                    if residual_ok:
-                        try:
-                            _check_physical(system, x, options)
-                        except ConvergenceError as exc:
-                            _NEWTON_FAILURES.inc()
-                            if exc.history is None:
-                                exc.history = history
-                            raise
-                        _NEWTON_ITERATIONS.inc(iteration)
-                        _NEWTON_ITERATIONS_PER_LOOP.observe(iteration)
-                        loop_span.set(iterations=iteration, converged=True)
-                        return x, iteration
-                x_new = stepper.solve(b)
-                delta = np.abs(x_new - x)
-                tol = options.reltol * np.maximum(np.abs(x_new),
-                                                  np.abs(x)) + options.vntol
-                delta_converged = bool(np.all(delta <= tol))
-                delta_norm = float(np.max(delta)) if delta.size else 0.0
-                history.append({"iteration": iteration,
-                                "delta_norm": delta_norm,
-                                "delta_converged": delta_converged})
-                loop_span.add_event("newton.iteration", iteration=iteration,
-                                    delta_norm=delta_norm,
-                                    delta_converged=delta_converged)
-                x = x_new
-            worst = int(np.argmax(delta / np.maximum(tol, 1e-30)))
-            _NEWTON_ITERATIONS.inc(options.max_iterations)
-            _NEWTON_ITERATIONS_PER_LOOP.observe(options.max_iterations)
-            _NEWTON_FAILURES.inc()
-            loop_span.set(iterations=options.max_iterations, converged=False)
-            raise ConvergenceError("Newton iteration did not converge",
-                                   iterations=options.max_iterations,
-                                   worst_node=system.variable_names[worst],
-                                   residual=float(delta[worst]),
-                                   history=history)
-    finally:
-        ctx.gmin = saved_gmin
-
-
-def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions) -> None:
-    """Reject converged points with absurd branch currents.
+def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
+                    ctx: Optional[AnalysisContext] = None) -> None:
+    """Reject converged points with absurd branch currents (devices are
+    evaluated under ``ctx``, by default the system's own).
 
     The overflow-safe exponential used by the junction devices becomes
     linear far above any real bias voltage, which creates spurious
@@ -767,13 +701,15 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions) ->
     # Evaluate the true (non-companion) device currents at the solution:
     # a junction pushed into the linearised-exponential region reports an
     # absurd current here even when the companion equations look balanced.
+    if ctx is None:
+        ctx = system.ctx
     view = system.solution_view(x)
     for element in system.nonlinear_elements:
         info_getter = getattr(element, "operating_point_info", None)
         if info_getter is None:
             continue
         try:
-            info = info_getter(view, system.ctx)
+            info = info_getter(view, ctx)
         except (ArithmeticError, ValueError):
             # Expected numeric edge cases far from the solution (overflow,
             # a fractional power of a negative argument...): the device

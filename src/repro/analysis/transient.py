@@ -23,14 +23,10 @@ import numpy as np
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
-from repro.analysis.op import NewtonOptions, operating_point
+from repro.analysis.op import NewtonOptions, _on_newton_state, operating_point
 from repro.analysis.results import OPResult, TransientResult
 from repro.circuit.netlist import Circuit
-from repro.exceptions import (
-    AnalysisError,
-    CompanionStructureError,
-    ConvergenceError,
-)
+from repro.exceptions import AnalysisError, ConvergenceError
 
 __all__ = ["transient_analysis"]
 
@@ -146,31 +142,24 @@ def _integrate_nonlinear(system: MNASystem, x0: np.ndarray, times: np.ndarray,
     per-iteration companion refill writes into fixed slots, and the
     start-of-step capacitance matrix comes from the compiled per-device
     terminal blocks — no per-entry name lookups or triplet rebuilds
-    inside the step loop.  Structure-unstable elements fall back to the
-    classic per-entry assembly.
+    inside the step loop.  Structure-unstable elements run the same step
+    loop on the classic per-entry assembly
+    (:func:`~repro.analysis.op._on_newton_state`).
     """
-    if not system.newton_fallback:
-        try:
-            return _integrate_nonlinear_compiled(system, x0, times, options,
-                                                 max_newton)
-        except CompanionStructureError:
-            system.newton_fallback = True
-    return _integrate_nonlinear_uncompiled(system, x0, times, options,
-                                           max_newton)
+    return _on_newton_state(system, lambda newton: _trapezoidal_steps(
+        system, newton, x0, times, options, max_newton))
 
 
-def _integrate_nonlinear_compiled(system: MNASystem, x0: np.ndarray,
-                                  times: np.ndarray, options: NewtonOptions,
-                                  max_newton: int) -> np.ndarray:
-    """Trapezoidal Newton steps on row 0 of the system's one-row
-    :class:`~repro.analysis.compiled.BatchNewtonState`."""
+def _trapezoidal_steps(system: MNASystem, newton, x0: np.ndarray,
+                       times: np.ndarray, options: NewtonOptions,
+                       max_newton: int) -> np.ndarray:
+    """Trapezoidal Newton steps on row 0 of a one-row Newton state."""
     n = system.size
     data = np.zeros((len(times), n))
     data[0] = x0
     x_prev = x0.copy()
     xdot_prev = np.zeros(n)
     ctx = system.ctx
-    newton = system.newton_state()
     newton.set_gshunt(0.0)
 
     for k in range(1, len(times)):
@@ -192,48 +181,6 @@ def _integrate_nonlinear_compiled(system: MNASystem, x0: np.ndarray,
             # delta_b already subtracts b_dc once; b_newton adds it back,
             # so the total is b(t) + companion currents + history.
             rhs = delta_b + b_newton
-            x_new = system.solve(matrix, rhs)
-            delta = np.abs(x_new - x)
-            tol = options.reltol * np.maximum(np.abs(x_new), np.abs(x)) + options.vntol
-            x = x_new
-            if np.all(delta <= tol):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"transient Newton failed to converge at t={times[k]:g} s")
-        xdot_prev = a * (x - x_prev) - xdot_prev
-        x_prev = x
-        data[k] = x
-    return data
-
-
-def _integrate_nonlinear_uncompiled(system: MNASystem, x0: np.ndarray,
-                                    times: np.ndarray, options: NewtonOptions,
-                                    max_newton: int) -> np.ndarray:
-    """Per-entry companion stamping per iteration (the fallback path)."""
-    n = system.size
-    data = np.zeros((len(times), n))
-    data[0] = x0
-    x_prev = x0.copy()
-    xdot_prev = np.zeros(n)
-    ctx = system.ctx
-
-    for k in range(1, len(times)):
-        h = times[k] - times[k - 1]
-        a = 2.0 / h
-        # Capacitances evaluated at the start-of-step solution.
-        _, C_step = system.small_signal_matrices(x_prev)
-        b_t = system.transient_rhs(times[k])
-        history = C_step @ (a * x_prev + xdot_prev)
-
-        ctx.reset_device_states()
-        x = x_prev.copy()
-        converged = False
-        for _ in range(max_newton):
-            G_it, b_it = system.newton_matrices(x)
-            matrix = G_it + a * C_step
-            rhs = (b_t - system.b_dc) + b_it + history
             x_new = system.solve(matrix, rhs)
             delta = np.abs(x_new - x)
             tol = options.reltol * np.maximum(np.abs(x_new), np.abs(x)) + options.vntol

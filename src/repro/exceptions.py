@@ -58,7 +58,7 @@ class ConvergenceError(AnalysisError):
     ``history`` (when present) is the per-iteration diagnostic trail of
     the failed loop — a list of dicts with ``iteration``, ``delta_norm``
     and ``delta_converged`` fields (plus ``residual_norm``/``residual_ok``
-    on the residual re-check; see ``repro.analysis.op._newton_loop``) —
+    on the residual re-check; see ``repro.analysis.op._newton_rows``) —
     so a non-convergence report can show *how* the iteration diverged,
     not just that it did.  ``docs/observability.md`` walks through
     reading one.

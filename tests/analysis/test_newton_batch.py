@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import circuits
-from repro.analysis import CompiledCircuit, NewtonOptions
+from repro.analysis import CompiledCircuit, NewtonOptions, operating_point
 from repro.analysis.dcsweep import dc_sweep, dc_sweep_batch
 from repro.analysis.op import solve_dc, solve_nonlinear_dc_batch
 from repro.circuit import CircuitBuilder
@@ -26,6 +26,7 @@ from repro.circuit.netlist import Circuit
 from repro.exceptions import AnalysisError, ConvergenceError
 from repro.linalg import SparseBackend
 from repro.obs.metrics import global_registry
+from repro.obs.trace import Tracer, use_tracer
 
 TOLERANCE = 1e-9
 
@@ -59,6 +60,46 @@ def _assert_matches_scalar(batch, x, options, backend=None):
         reference, _, _ = solve_dc(system, np.zeros(compiled.size), options)
         scale = max(float(np.max(np.abs(reference))), 1.0)
         assert float(np.max(np.abs(x[k] - reference))) <= TOLERANCE * scale
+
+
+def _batch_span(batch, **kwargs):
+    """Solve ``batch`` under a tracer; returns the results and the
+    ``newton.batch`` span."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        results = solve_nonlinear_dc_batch(batch, **kwargs)
+    span = next(s for s in tracer.spans() if s.name == "newton.batch")
+    return results, span
+
+
+class TestOneIteration:
+    """The scalar ladder and the batched solve run one Newton iteration,
+    so a batch of one row is the scalar path bit for bit."""
+
+    @pytest.mark.parametrize("temperature", [27.0, -40.0])
+    @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
+    def test_one_row_batch_is_the_scalar_path(self, name, temperature):
+        circuit = getattr(circuits, name)().circuit
+        batch = CompiledCircuit(circuit).restamp_batch(
+            temperature=[temperature])
+        (x, iterations, strategies, failures), span = _batch_span(batch)
+        op = operating_point(circuit, temperature=temperature)
+        assert not failures
+        assert np.array_equal(x[0], op.x)
+        assert int(iterations[0]) == op.iterations
+        assert strategies[0] == ("newton-batch" if op.strategy == "newton"
+                                 else op.strategy)
+        # One row takes the exact row refill, not the vector pass.
+        assert span.attrs["vectorized"] is False
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_uniform_batch_of_two_or_more_vectorizes(self, rows):
+        batch = CompiledCircuit(circuits.opamp_buffer().circuit) \
+            .restamp_batch(temperature=[27.0] * rows)
+        (_, _, strategies, failures), span = _batch_span(batch)
+        assert not failures
+        assert strategies == ["newton-batch"] * rows
+        assert span.attrs["vectorized"] is True
 
 
 class TestBatchedScalarEquivalence:
