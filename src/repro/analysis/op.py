@@ -679,9 +679,9 @@ def _newton_loop(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
 
 
 def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
-                    ctx: Optional[AnalysisContext] = None) -> None:
+                    ctx: AnalysisContext) -> None:
     """Reject converged points with absurd branch currents (devices are
-    evaluated under ``ctx``, by default the system's own).
+    evaluated under the sample's context ``ctx``).
 
     The overflow-safe exponential used by the junction devices becomes
     linear far above any real bias voltage, which creates spurious
@@ -701,8 +701,6 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
     # Evaluate the true (non-companion) device currents at the solution:
     # a junction pushed into the linearised-exponential region reports an
     # absurd current here even when the companion equations look balanced.
-    if ctx is None:
-        ctx = system.ctx
     view = system.solution_view(x)
     for element in system.nonlinear_elements:
         info_getter = getattr(element, "operating_point_info", None)
