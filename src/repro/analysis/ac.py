@@ -562,7 +562,9 @@ def ac_analysis(circuit: Optional[Circuit],
     compiled:
         A precompiled circuit structure — scenario sweeps compile the
         topology once and restamp values per sample; ``circuit`` may
-        then be ``None``.
+        then be ``None``.  The bias point then starts from the
+        structure's anchor, as in
+        :func:`~repro.analysis.op.operating_point`.
     """
     sweep = FrequencySweep.coerce(sweep)
     if circuit is None:
@@ -582,7 +584,8 @@ def ac_analysis(circuit: Optional[Circuit],
                             "non-zero AC magnitude")
 
     if op is None:
-        op = operating_point(circuit, options=options, system=system)
+        op = operating_point(circuit, options=options, system=system,
+                             compiled=compiled)
         x_op = op.x
     else:
         # The caller's OP may have been computed on a different (but

@@ -74,7 +74,12 @@ from repro.analysis.context import (
 from repro.circuit.elements.base import Element, is_ground
 from repro.circuit.netlist import Circuit, SubcircuitInstance
 from repro.exceptions import AnalysisError, CompanionStructureError, NetlistError
-from repro.linalg import AUTO_SPARSE_MIN_SIZE, DenseBackend, LinearSystem
+from repro.linalg import (
+    AUTO_SPARSE_MIN_SIZE,
+    DenseBackend,
+    LinearSystem,
+    resolve_backend,
+)
 from repro.linalg.triplets import CompiledPattern
 from repro.obs.trace import span as _span
 
@@ -582,14 +587,15 @@ class BatchStampState:
 
     __slots__ = ("compiled", "g_values", "c_values", "b_dc", "b_ac",
                  "temperatures", "gmins", "failures", "vectorized",
-                 "variable_rows")
+                 "variable_rows", "rhs_patched")
 
     def __init__(self, compiled: "CompiledCircuit", g_values: np.ndarray,
                  c_values: np.ndarray, b_dc: np.ndarray, b_ac: np.ndarray,
                  temperatures: np.ndarray, gmins: np.ndarray,
                  failures: Optional[Dict[int, Exception]] = None,
                  vectorized: bool = True,
-                 variable_rows: Optional[Sequence[Dict[str, float]]] = None):
+                 variable_rows: Optional[Sequence[Dict[str, float]]] = None,
+                 rhs_patched: bool = False):
         self.compiled = compiled
         self.g_values = g_values
         self.c_values = c_values
@@ -607,6 +613,9 @@ class BatchStampState:
         #: scalar demotion path) can rebuild any sample's exact context.
         self.variable_rows = (list(variable_rows) if variable_rows is not None
                               else [{} for _ in range(b_dc.shape[0])])
+        #: Whether ``b_dc`` was patched past what the contexts restamp (a
+        #: DC source sweep point); :meth:`sample_system` then carries it.
+        self.rhs_patched = rhs_patched
 
     def sample_context(self, index: int) -> AnalysisContext:
         """The exact scalar :class:`AnalysisContext` of sample ``index``
@@ -616,6 +625,16 @@ class BatchStampState:
         return AnalysisContext(temperature=float(self.temperatures[index]),
                                gmin=float(self.gmins[index]),
                                variables=ctx_vars)
+
+    def sample_system(self, index: int, backend=None):
+        """An :class:`~repro.analysis.mna.MNASystem` of sample ``index``:
+        the scalar restamp of its context, with the batch's DC
+        right-hand side when that was patched (see ``rhs_patched``)."""
+        system = self.compiled.system(ctx=self.sample_context(index),
+                                      backend=backend)
+        if self.rhs_patched:
+            system.state.b_dc[:] = self.b_dc[index]
+        return system
 
     def __len__(self) -> int:
         return self.b_dc.shape[0]
@@ -1465,6 +1484,9 @@ class CompiledCircuit:
         #: compiled attempt.
         self.newton_fallback = False
         self._compile_lock = threading.Lock()
+        #: Memoised anchors (see :meth:`anchor`), one per resolved backend.
+        self._anchors: Dict[str, object] = {}
+        self._anchor_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Unknown index (structure pass 1)
@@ -1980,6 +2002,34 @@ class CompiledCircuit:
     def is_linear(self) -> bool:
         """Whether the circuit has no nonlinear devices (batchable DC/AC)."""
         return not any(e.is_nonlinear for e in self.circuit)
+
+    def anchor(self, backend=None):
+        """This structure's anchored bias point on ``backend``: a
+        :class:`~repro.analysis.op.BiasAnchor` (``None`` when its cold
+        solve fails).
+
+        The anchor is the cold ladder's bias point at 27 degC with the
+        circuit's nominal variables, gmin 1e-12 and
+        :data:`~repro.analysis.op.STABILITY_NEWTON` — a pure function of
+        the compiled content, so every process computes the same bits.
+        It is solved once per process and resolved backend (resolved as
+        :class:`~repro.analysis.mna.MNASystem` does, so a system and a
+        batch on one backend request share it), under a lock.  The
+        structure must be compiled (restamped once) first.
+        """
+        from repro.analysis.op import solve_anchor   # op builds on this module
+
+        program = self.program
+        resolved = resolve_backend(
+            backend, size=self.size,
+            density=max(program.pattern_G.density(),
+                        program.pattern_C.density()))
+        key = resolved.name
+        if key not in self._anchors:
+            with self._anchor_lock:
+                if key not in self._anchors:
+                    self._anchors[key] = solve_anchor(self, resolved)
+        return self._anchors[key]
 
     def system(self, ctx: Optional[AnalysisContext] = None,
                variables: Optional[Dict[str, float]] = None,

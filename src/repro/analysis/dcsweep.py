@@ -16,7 +16,9 @@ compile/restamp architecture exists to avoid, so the sweep engine here
   solution — adjacent sweep points are adjacent operating points, so the
   solver usually converges in a couple of iterations instead of re-running
   the full homotopy ladder.  If a warm start fails to converge (a sharp
-  region change), the point is retried cold before giving up.
+  region change), the point is retried cold before giving up.  The first
+  point starts from the structure's anchor when the caller passes a
+  reusable ``compiled=`` (see :func:`~repro.analysis.op.operating_point`).
 
 Sweep grids may ascend or descend (ramp-down curves are how hysteresis
 hunting is done); see :func:`repro.analysis.sweeps.lin_sweep`.
@@ -94,7 +96,8 @@ def dc_sweep(circuit: Optional[Circuit],
         As for :func:`~repro.analysis.op.operating_point`.
     compiled:
         Precompiled structure to reuse (the Monte Carlo path: compile the
-        topology once, sweep transfer curves per sample).
+        topology once, sweep transfer curves per sample).  The first
+        point then starts from the structure's anchor.
     context:
         Pre-built analysis context (used internally by batch engines).
     """
@@ -108,7 +111,7 @@ def dc_sweep(circuit: Optional[Circuit],
 
 def _dc_sweep_impl(circuit, sweep, grid, temperature, gmin, variables,
                    options, backend, compiled, context) -> DCSweepResult:
-
+    reusable = compiled is not None
     if compiled is None:
         if circuit is None:
             raise AnalysisError("dc_sweep needs a circuit or a "
@@ -147,6 +150,10 @@ def _dc_sweep_impl(circuit, sweep, grid, temperature, gmin, variables,
             linear_reuse = system.linear_system(
                 linear_dc_matrix(system, options.gshunt))
 
+    anchor = None
+    if reusable and system.nonlinear_elements:
+        anchor = compiled.anchor(system.backend)
+
     n = system.size
     data = np.zeros((len(grid), n))
     iterations = []
@@ -169,7 +176,8 @@ def _dc_sweep_impl(circuit, sweep, grid, temperature, gmin, variables,
         else:
             x0 = x_prev if x_prev is not None else np.zeros(n)
             try:
-                x, iters, strategy = solve_dc(system, x0, options)
+                x, iters, strategy = solve_dc(
+                    system, x0, options, anchor if x_prev is None else None)
             except ConvergenceError:
                 if x_prev is None:
                     raise
@@ -266,7 +274,7 @@ def dc_sweep_batch(batch: BatchStampState, sweep: str,
                     batch.b_ac, temperatures=batch.temperatures,
                     gmins=batch.gmins, failures=dict(batch.failures),
                     vectorized=batch.vectorized,
-                    variable_rows=batch.variable_rows)
+                    variable_rows=batch.variable_rows, rhs_patched=True)
             # Samples already failed terminally stop being solved.
             batch_k.failures.update(failures)
 
@@ -287,8 +295,7 @@ def dc_sweep_batch(batch: BatchStampState, sweep: str,
                     continue
                 # The warm start landed in a bad basin (sharp transition
                 # between adjacent points): retry this sample cold.
-                ctx = batch_k.sample_context(k)
-                system = compiled.system(ctx=ctx, backend=backend)
+                system = batch_k.sample_system(k, backend)
                 try:
                     xk, iters, strategy = solve_dc(system, np.zeros(n),
                                                    options)

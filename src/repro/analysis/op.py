@@ -2,6 +2,10 @@
 
 The solver is a classic SPICE-style ladder of strategies:
 
+0. on a reusable compiled structure with no explicit guess, plain Newton
+   from the structure's **anchor** (:class:`BiasAnchor`, its 27 degC
+   nominal bias point), kept only when every junction device conducts as
+   it does at the anchor; any failure falls through to the cold ladder;
 1. plain Newton-Raphson with per-device junction-voltage limiting;
 2. **gmin stepping** — solve with a large conductance to ground on every
    node and progressively reduce it to the target ``gmin``;
@@ -49,7 +53,8 @@ from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _span
 
 __all__ = ["operating_point", "solve_dc", "solve_linear_dc_batch",
-           "solve_nonlinear_dc_batch", "NewtonOptions"]
+           "solve_nonlinear_dc_batch", "NewtonOptions", "BiasAnchor",
+           "STABILITY_NEWTON"]
 
 # Direct metric references (cheap per-loop updates; see repro.obs.metrics).
 _NEWTON_LOOPS = global_registry().counter("newton.loops")
@@ -67,6 +72,10 @@ _NEWTON_BATCH_DEMOTIONS = global_registry().counter("newton.batch_demotions")
 _NEWTON_SAMPLES_ACTIVE = global_registry().histogram(
     "newton.samples_active",
     buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0))
+#: Anchors solved (one cold 27 degC ladder per structure and backend).
+_ANCHOR_SOLVES = global_registry().counter("newton.anchor.solves")
+#: Solves (scalar or batch rows) accepted from the anchor.
+_ANCHOR_HITS = global_registry().counter("newton.anchor.hits")
 
 
 class NewtonOptions:
@@ -92,6 +101,75 @@ class NewtonOptions:
         #: exponential linearises far above any real bias point) are
         #: rejected so the homotopy strategies take over.
         self.current_limit = float(current_limit)
+
+
+#: Newton options of the stability pipeline when the caller passes none,
+#: and of every anchor's solve.  Tighter than the general-purpose
+#: defaults (reltol 1e-4 / vntol 1e-7) because the screening linearizes
+#: *at* the bias point: exponential device conductances amplify any bias
+#: error by ~1/Vt, so a point only converged to the loose defaults moves
+#: the derived stability metrics at the ~1e-3 relative scale.  The tight
+#: solve costs a handful of extra (quadratically converging) Newton
+#: iterations and pins both the per-request and the batched screening
+#: paths to the same fixpoint.
+STABILITY_NEWTON = NewtonOptions(reltol=1e-7, vntol=1e-10)
+
+
+class BiasAnchor:
+    """A compiled structure's anchored bias point
+    (:meth:`~repro.analysis.compiled.CompiledCircuit.anchor`).
+
+    ``x`` is the cold ladder's solution at 27 degC with the circuit's
+    nominal variables, gmin 1e-12 and :data:`STABILITY_NEWTON` (read
+    only); ``conducting`` holds each junction device's conduction state
+    there (:func:`conduction_states`).  Solves on the structure start
+    plain Newton from ``x``; a result whose devices conduct differently
+    may be a second fixpoint of a multi-stable cell, so it is dropped for
+    the cold ladder.  The anchor depends only on the structure's content,
+    never on earlier requests, so results stay a pure function of the
+    request.
+    """
+
+    __slots__ = ("x", "conducting")
+
+    def __init__(self, x: np.ndarray, conducting: Tuple[bool, ...]):
+        self.x = x
+        self.conducting = conducting
+
+
+def conduction_states(system: MNASystem, x: np.ndarray,
+                      ctx: AnalysisContext) -> Tuple[bool, ...]:
+    """Whether each junction device of ``system`` conducts at solution
+    ``x`` under ``ctx`` (devices with a ``conducting`` method, in
+    circuit order)."""
+    view = system.solution_view(x)
+    return tuple(bool(element.conducting(view, ctx))
+                 for element in system.nonlinear_elements
+                 if hasattr(element, "conducting"))
+
+
+def solve_anchor(compiled: CompiledCircuit, backend) -> Optional[BiasAnchor]:
+    """Solve the anchor of ``compiled`` on the resolved ``backend``: the
+    cold ladder at 27 degC, nominal variables, gmin 1e-12 and
+    :data:`STABILITY_NEWTON`.  ``None`` when that solve fails (the
+    structure's solves then run the cold ladder only).
+
+    :meth:`~repro.analysis.compiled.CompiledCircuit.anchor` memoises it;
+    call that instead.
+    """
+    system = compiled.system(temperature=27.0, gmin=1e-12, backend=backend)
+    with _span("newton.anchor", backend=backend.name) as anchor_span:
+        _ANCHOR_SOLVES.inc()
+        try:
+            x, _, strategy = solve_dc(system, np.zeros(system.size),
+                                      STABILITY_NEWTON)
+            conducting = conduction_states(system, x, system.ctx)
+        except (AnalysisError, ArithmeticError, ValueError):
+            anchor_span.set(converged=False)
+            return None
+        anchor_span.set(converged=True, strategy=strategy)
+    x.flags.writeable = False
+    return BiasAnchor(x, conducting)
 
 
 def operating_point(circuit: Optional[Circuit],
@@ -137,7 +215,13 @@ def operating_point(circuit: Optional[Circuit],
         A precompiled circuit structure
         (:class:`~repro.analysis.compiled.CompiledCircuit`).  Scenario
         sweeps compile the topology once and pass it here so each sample
-        only restamps values; ``circuit`` may then be ``None``.
+        only restamps values; ``circuit`` may then be ``None``.  A
+        nonlinear solve with no ``initial_guess`` then starts plain
+        Newton from the structure's anchor (:class:`BiasAnchor`, its
+        27 degC nominal bias point) and falls back to the cold ladder
+        from zeros when that rung diverges, hits a singular step, lands
+        on a non-physical point or a device conducts differently than at
+        the anchor.  Without ``compiled`` the solve is the cold ladder.
     """
     options = options or NewtonOptions()
     if system is None:
@@ -170,7 +254,11 @@ def operating_point(circuit: Optional[Circuit],
                     f"expected ({n},)")
             x0 = vector.copy()
 
-    x, iterations, strategy = solve_dc(system, x0, options)
+    anchor = None
+    if compiled is not None and initial_guess is None \
+            and system.nonlinear_elements:
+        anchor = compiled.anchor(system.backend)
+    x, iterations, strategy = solve_dc(system, x0, options, anchor)
     device_info, info_failures = _collect_device_info(system, x)
     return OPResult(system.variable_names, x, device_info=device_info,
                     iterations=iterations, strategy=strategy,
@@ -179,12 +267,14 @@ def operating_point(circuit: Optional[Circuit],
 
 
 def solve_dc(system: MNASystem, x0: np.ndarray,
-             options: Optional[NewtonOptions] = None
+             options: Optional[NewtonOptions] = None,
+             anchor: Optional[BiasAnchor] = None
              ) -> Tuple[np.ndarray, int, str]:
     """Solve the DC equations of a stamped system from guess ``x0``.
 
     Returns ``(x, iterations, strategy)`` — linear circuits solve
-    directly, nonlinear circuits run the Newton/homotopy ladder.  This is
+    directly, nonlinear circuits run the Newton/homotopy ladder, first
+    from ``anchor`` when one is given (see :class:`BiasAnchor`).  This is
     the shared kernel of :func:`operating_point` and the warm-started
     :func:`~repro.analysis.dcsweep.dc_sweep` transfer curves.
     """
@@ -192,7 +282,7 @@ def solve_dc(system: MNASystem, x0: np.ndarray,
     system.stamp()
     if not system.nonlinear_elements:
         return _solve_linear_dc(system, options), 0, "linear"
-    return _solve_nonlinear(system, x0, options)
+    return _solve_nonlinear(system, x0, options, anchor)
 
 
 def linear_dc_matrix(system: MNASystem, gshunt: float = 0.0):
@@ -300,11 +390,18 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     convergence mask shrinks the active set, so converged samples stop
     paying.
 
+    With no ``x0`` every sample starts from the structure's anchor
+    (:class:`BiasAnchor`, its 27 degC nominal bias point; zeros when it
+    has none), as the scalar :func:`operating_point` on a compiled
+    structure does, and a row converged from it must pass the same
+    conduction-state guard.
+
     Samples the batched plain-Newton loop cannot finish — divergence,
-    singular linearizations, non-physical accepted points, or device
-    code the vector pass cannot evaluate — are **demoted** to the scalar
-    ladder (:func:`solve_dc`: Newton, then gmin stepping, then source
-    stepping) from their original guess, so per-sample results and
+    singular linearizations, non-physical accepted points, a tripped
+    guard, or device code the vector pass cannot evaluate — are
+    **demoted** to the scalar ladder (:func:`solve_dc`: Newton from the
+    anchor when ``x0`` is not given, then Newton, gmin stepping and
+    source stepping from the original guess), so per-sample results and
     failures are exactly what the scalar path would produce.  A
     :exc:`~repro.exceptions.ConvergenceError` of one sample never takes
     down its batchmates.
@@ -319,18 +416,16 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     ``history``).
 
     ``pilot=True`` (only honoured when ``x0`` is not given) solves the
-    first healthy sample through the exact scalar ladder from the cold
-    guess and warm-starts the remaining samples from its solution — the
-    Monte Carlo screening shape, where samples scatter tightly around
-    one bias point and the warm-started batch converges in a few
-    iterations instead of re-walking the whole cold trajectory per
-    sample.  The pilot sample's result is bit-identical to the scalar
-    path's; demoted samples still restart from the cold guess, so their
-    results and diagnostics keep exact scalar parity.  Warm-started
-    samples converge under the same delta/residual acceptance as the
-    cold batch, so they agree with the scalar path to the Newton
-    tolerance (not bit-for-bit) — callers that need 1e-9 parity leave
-    ``pilot`` off.
+    first healthy sample through the exact scalar path (the anchored
+    rung, then the cold ladder) and warm-starts the remaining samples
+    from its solution — the Monte Carlo screening shape, where samples
+    scatter tightly around one bias point and the warm-started batch
+    converges in a few iterations.  The pilot sample's result is
+    bit-identical to the scalar path's; demoted samples rerun the scalar
+    path, so their results and diagnostics keep exact scalar parity.
+    Warm-started samples converge under the same delta/residual
+    acceptance as the anchored batch, so they agree with the scalar path
+    to the Newton tolerance (not bit-for-bit).
     """
     from repro.linalg import resolve_backend
 
@@ -350,8 +445,10 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     healthy = np.array([k for k in range(n_samples) if k not in failures],
                        dtype=np.int64)
 
+    anchor = None
     if x0 is None:
         x0_plane = np.zeros((n_samples, n))
+        anchor = compiled.anchor(backend)
     else:
         x0_plane = np.array(x0, dtype=float)
         if x0_plane.ndim == 1:
@@ -362,11 +459,10 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
                 f"expected ({n_samples}, {n})")
 
     def _run_scalar(k: int) -> None:
-        ctx = batch.sample_context(k)
-        system = compiled.system(ctx=ctx, backend=backend)
+        system = batch.sample_system(k, backend)
         try:
             xk, iters, strategy = solve_dc(system, x0_plane[k].copy(),
-                                           options)
+                                           options, anchor)
         except (ConvergenceError, SingularMatrixError, AnalysisError) as exc:
             failures[k] = exc
         else:
@@ -381,9 +477,13 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     if compiled.newton_fallback:
         demote_rows, healthy = healthy.tolist(), healthy[:0]
 
-    # Pilot warm start: one exact scalar solve seeds the whole batch.
-    # ``x0_plane`` stays the cold guess — demotions restart from it.
+    # Rows start from the anchor, or from the pilot's solution: one exact
+    # scalar solve seeds the whole batch.  ``x0_plane`` stays the cold
+    # guess that demotions' ladders restart from.
     warm_plane = x0_plane
+    guard = anchor      # the anchor the batch rows start from, if any
+    if anchor is not None:
+        warm_plane = np.tile(anchor.x, (n_samples, 1))
     if pilot and x0 is None and healthy.size >= 2:
         pilot_k = int(healthy[0])
         _run_scalar(pilot_k)
@@ -391,36 +491,46 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
         if pilot_k not in failures:
             warm_plane = x0_plane.copy()
             warm_plane[healthy] = x_out[pilot_k]
+            guard = None
 
     batch_span = _span("newton.batch", samples=int(len(batch)),
-                       healthy=int(healthy.size))
+                       healthy=int(healthy.size), anchored=guard is not None)
     converged: Dict[int, int] = {}
     active_sizes: list = []
     vectorized = False
     with batch_span:
         if healthy.size:
             x = warm_plane.copy()
+            contexts = {k: batch.sample_context(k) for k in healthy.tolist()}
+            check_system = compiled.system()
             try:
-                program = compiled.newton_program(
-                    batch.sample_context(int(healthy[0])))
+                program = compiled.newton_program(contexts[int(healthy[0])])
                 state = BatchNewtonState(
                     program, batch, names=compiled.variable_names,
                     backend=resolve_backend(
                         backend, size=n, density=compiled.pattern_G.density()))
                 converged, row_failures, active_sizes, vectorized = \
-                    _newton_rows(state, healthy, x, compiled.system(),
-                                 {k: batch.sample_context(k)
-                                  for k in healthy.tolist()},
+                    _newton_rows(state, healthy, x, check_system, contexts,
                                  options, gshunt=options.gshunt)
             except CompanionStructureError:
                 compiled.newton_fallback = True
                 row_failures = healthy.tolist()
+            row_failures = list(row_failures)
+            if guard is not None:
+                # The scalar rung's guard: a row whose devices conduct
+                # differently than at the anchor reruns the scalar path.
+                for k in list(converged):
+                    if conduction_states(check_system, x[k], contexts[k]) \
+                            != guard.conducting:
+                        del converged[k]
+                        row_failures.append(k)
+                _ANCHOR_HITS.inc(len(converged))
             for k, count in converged.items():
                 x_out[k] = x[k]
                 iterations_out[k] = count
                 strategies[k] = "newton-batch"
             # Every row the batched loop could not finish takes the exact
-            # scalar ladder from its original guess.
+            # scalar path.
             demote_rows.extend(row_failures)
             _NEWTON_BATCH_ITERATIONS.inc(sum(active_sizes))
             for size in active_sizes:
@@ -678,6 +788,10 @@ def _newton_loop(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
     return _on_newton_state(system, run)
 
 
+class _NonPhysicalPoint(ConvergenceError):
+    """:func:`_check_physical`'s verdict: a converged but absurd point."""
+
+
 def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
                     ctx: AnalysisContext) -> None:
     """Reject converged points with absurd branch currents (devices are
@@ -694,7 +808,7 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
         branch_currents = np.abs(x[start:])
         if branch_currents.size and float(np.max(branch_currents)) > options.current_limit:
             worst = int(np.argmax(branch_currents))
-            raise ConvergenceError(
+            raise _NonPhysicalPoint(
                 "converged to a non-physical operating point",
                 worst_node=system.branch_names[worst],
                 residual=float(branch_currents[worst]))
@@ -723,19 +837,47 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
         for key in ("id", "ic", "ib", "ie"):
             value = info.get(key)
             if value is not None and abs(float(value)) > options.current_limit:
-                raise ConvergenceError(
+                raise _NonPhysicalPoint(
                     "converged to a non-physical operating point",
                     worst_node=element.name, residual=float(value))
 
 
-def _solve_nonlinear(system: MNASystem, x0: np.ndarray, options: NewtonOptions):
-    """Try Newton, then gmin stepping, then source stepping."""
+def _solve_nonlinear(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
+                     anchor: Optional[BiasAnchor] = None):
+    """Try Newton from the anchor (when given), then the cold ladder:
+    Newton, gmin stepping, source stepping."""
     registry = global_registry()
     total_iterations = 0
 
+    # Strategy 0: plain Newton from the structure's anchor, kept only if
+    # every junction device conducts as it does at the anchor.
+    if anchor is not None:
+        with _span("newton.strategy", strategy="newton",
+                   anchored=True) as anchor_span:
+            try:
+                x, iterations = _newton_loop(system, anchor.x, options,
+                                             gshunt=options.gshunt)
+            except SingularMatrixError:
+                fallback = "singular"
+            except _NonPhysicalPoint:
+                fallback = "nonphysical"
+            except (ConvergenceError, ArithmeticError, ValueError):
+                fallback = "diverged"
+            else:
+                fallback = None
+                if conduction_states(system, x, system.ctx) \
+                        != anchor.conducting:
+                    fallback = "region"
+            if fallback is not None:
+                anchor_span.set(fallback=fallback)
+        if fallback is None:
+            _ANCHOR_HITS.inc()
+            return x, iterations, "newton"
+        registry.counter(f"newton.anchor.fallbacks.{fallback}").inc()
+
     # Strategy 1: plain Newton.
     try:
-        with _span("newton.strategy", strategy="newton"):
+        with _span("newton.strategy", strategy="newton", anchored=False):
             x, iterations = _newton_loop(system, x0, options,
                                          gshunt=options.gshunt)
         return x, iterations, "newton"
@@ -744,7 +886,8 @@ def _solve_nonlinear(system: MNASystem, x0: np.ndarray, options: NewtonOptions):
 
     # Strategy 2: gmin stepping.
     try:
-        with _span("newton.strategy", strategy="gmin-stepping") as gmin_span:
+        with _span("newton.strategy", strategy="gmin-stepping",
+                   anchored=False) as gmin_span:
             x = x0.copy()
             gmin_target = system.ctx.gmin
             start = max(options.gmin_start, gmin_target * 10)
@@ -769,8 +912,8 @@ def _solve_nonlinear(system: MNASystem, x0: np.ndarray, options: NewtonOptions):
     last_error: Optional[Exception] = None
     scales = np.linspace(1.0 / options.source_steps, 1.0, options.source_steps)
     try:
-        with _span("newton.strategy",
-                   strategy="source-stepping") as source_span:
+        with _span("newton.strategy", strategy="source-stepping",
+                   anchored=False) as source_span:
             for scale in scales:
                 source_span.add_event("newton.source_step",
                                       scale=float(scale))

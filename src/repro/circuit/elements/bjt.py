@@ -26,6 +26,7 @@ from typing import Dict
 import numpy as np
 
 from repro.circuit.elements.nonlinear import (
+    CONDUCTION_THERMAL_VOLTAGES,
     NonlinearDevice,
     cstep_derivative,
     cstep_gradient,
@@ -261,6 +262,12 @@ class BJT(NonlinearDevice):
         stamper.capacitance_op(self.base, self.collector, cbc)
 
     # ------------------------------------------------------------------
+    def conducting(self, x, ctx) -> bool:
+        """Whether the base-emitter junction is forward-biased."""
+        vbe = self.model.sign * (x.voltage(self.base) - x.voltage(self.emitter))
+        return vbe > (CONDUCTION_THERMAL_VOLTAGES * self.model.NF
+                      * thermal_voltage(ctx.temperature))
+
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Operating-point summary: currents, gm, rpi, ro, capacitances."""
         p = self.model.sign

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from repro.circuit.elements.nonlinear import (
+    CONDUCTION_THERMAL_VOLTAGES,
     NonlinearDevice,
     cstep_derivative,
     limexp,
@@ -158,6 +159,11 @@ class Diode(NonlinearDevice):
         cd = cstep_derivative(lambda v: self._charge(v, ctx), vd)
         nodes = (self.anode, self.cathode)
         self.stamp_capacitance_matrix(stamper, nodes, ((cd, -cd), (-cd, cd)))
+
+    def conducting(self, x, ctx) -> bool:
+        """Whether the junction is forward-biased."""
+        vd = x.voltage(self.anode) - x.voltage(self.cathode)
+        return vd > CONDUCTION_THERMAL_VOLTAGES * self._vt(ctx)
 
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Small dictionary of OP quantities (used by reports/tests)."""

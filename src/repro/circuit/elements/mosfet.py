@@ -296,8 +296,9 @@ class MOSFET(NonlinearDevice):
             stamper.capacitance_op(self.source, self.bulk, m.CBS * self.multiplier)
 
     # ------------------------------------------------------------------
-    def operating_point_info(self, x, ctx) -> Dict[str, float]:
-        """Operating-point summary: region, id, gm, gds, gmb, vth, vov."""
+    def _oriented_voltages(self, x):
+        """NMOS-referred ``(vgs, vds, vbs, swapped)`` at solution view
+        ``x``, with source and drain swapped when ``vds < 0``."""
         p = self.model.sign
         vd = x.voltage(self.drain)
         vg = x.voltage(self.gate)
@@ -309,6 +310,16 @@ class MOSFET(NonlinearDevice):
         swapped = vds < 0
         if swapped:
             vgs, vds, vbs = vgs - vds, -vds, vbs - vds
+        return vgs, vds, vbs, swapped
+
+    def conducting(self, x, ctx) -> bool:
+        """Whether the channel is on (not in cutoff)."""
+        vgs, _, vbs, _ = self._oriented_voltages(x)
+        return vgs - self._threshold(vbs, ctx) > 0
+
+    def operating_point_info(self, x, ctx) -> Dict[str, float]:
+        """Operating-point summary: region, id, gm, gds, gmb, vth, vov."""
+        vgs, vds, vbs, swapped = self._oriented_voltages(x)
         vth = self._threshold(vbs, ctx)
         vov = vgs - vth
         ids = self._ids(vgs, vds, vbs, ctx)

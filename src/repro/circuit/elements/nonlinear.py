@@ -42,6 +42,14 @@ _EXP_AT_LIMIT = math.exp(_EXP_LIMIT)
 #: Step used for complex-step differentiation.
 _CSTEP = 1e-100
 
+#: A junction conducts (the devices' ``conducting`` method, the guard of
+#: the anchored bias point in :mod:`repro.analysis.op`) once its
+#: forward bias exceeds this many emission-scaled thermal voltages: its
+#: forward current is then about 150 saturation currents, while a real
+#: bias point sits at 11 or more on every bundled circuit from -40 to
+#: 125 degC and a device held off sits near zero.
+CONDUCTION_THERMAL_VOLTAGES = 5.0
+
 
 def limexp(x):
     """Exponential that grows linearly above ``x = 80`` (overflow-safe).

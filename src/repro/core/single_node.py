@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.ac import ac_analysis
 from repro.analysis.compiled import BatchLinearization
-from repro.analysis.op import NewtonOptions, operating_point
+from repro.analysis.op import STABILITY_NEWTON, NewtonOptions, operating_point
 from repro.analysis.results import ACResult, OPResult
 from repro.analysis.sweeps import FrequencySweep, log_sweep
 from repro.circuit.netlist import Circuit
@@ -39,16 +39,6 @@ from repro.waveform.waveform import Waveform
 
 __all__ = ["NodeStabilityResult", "STABILITY_NEWTON", "SingleNodeOptions",
            "analyze_node", "analyze_node_batch", "build_node_result"]
-
-#: Newton options of the stability pipeline when the caller passes none.
-#: Tighter than the general-purpose defaults (reltol 1e-4 / vntol 1e-7)
-#: because the screening linearizes *at* the bias point: exponential
-#: device conductances amplify any bias error by ~1/Vt, so a point only
-#: converged to the loose defaults moves the derived stability metrics
-#: at the ~1e-3 relative scale.  The tight solve costs a handful of
-#: extra (quadratically converging) Newton iterations and pins both the
-#: per-request and the batched screening paths to the same fixpoint.
-STABILITY_NEWTON = NewtonOptions(reltol=1e-7, vntol=1e-10)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import pytest
 from repro import circuits
 from repro.analysis import CompiledCircuit, NewtonOptions, operating_point
 from repro.analysis.dcsweep import dc_sweep, dc_sweep_batch
+from repro.analysis import op as op_module
 from repro.analysis.op import solve_dc, solve_nonlinear_dc_batch
 from repro.circuit import CircuitBuilder
 from repro.circuit.elements import DiodeModel
@@ -74,15 +75,35 @@ def _batch_span(batch, **kwargs):
 
 class TestOneIteration:
     """The scalar ladder and the batched solve run one Newton iteration,
-    so a batch of one row is the scalar path bit for bit."""
+    so a batch of one row is the scalar path bit for bit: from the
+    structure's anchor on a shared compiled circuit, and from an explicit
+    cold guess against the cold ladder."""
 
     @pytest.mark.parametrize("temperature", [27.0, -40.0])
     @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
     def test_one_row_batch_is_the_scalar_path(self, name, temperature):
         circuit = getattr(circuits, name)().circuit
+        compiled = CompiledCircuit(circuit)
+        batch = compiled.restamp_batch(temperature=[temperature])
+        (x, iterations, strategies, failures), span = _batch_span(batch)
+        op = operating_point(circuit, temperature=temperature,
+                             compiled=compiled)
+        assert not failures
+        assert np.array_equal(x[0], op.x)
+        assert int(iterations[0]) == op.iterations
+        assert strategies[0] == ("newton-batch" if op.strategy == "newton"
+                                 else op.strategy)
+        # One row takes the exact row refill, not the vector pass.
+        assert span.attrs["vectorized"] is False
+
+    @pytest.mark.parametrize("temperature", [27.0, -40.0])
+    @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
+    def test_one_cold_row_is_the_cold_ladder(self, name, temperature):
+        circuit = getattr(circuits, name)().circuit
         batch = CompiledCircuit(circuit).restamp_batch(
             temperature=[temperature])
-        (x, iterations, strategies, failures), span = _batch_span(batch)
+        (x, iterations, strategies, failures), span = _batch_span(
+            batch, x0=np.zeros(batch.compiled.size))
         op = operating_point(circuit, temperature=temperature)
         assert not failures
         assert np.array_equal(x[0], op.x)
@@ -137,7 +158,8 @@ class TestBatchedScalarEquivalence:
         compiled = CompiledCircuit(circuit)
         batch = compiled.restamp_batch(temperature=[27.0, 27.0, 27.0])
         options = _tight()
-        x, cold, _, _ = solve_nonlinear_dc_batch(batch, options=options)
+        x, cold, _, _ = solve_nonlinear_dc_batch(
+            batch, options=options, x0=np.zeros(compiled.size))
         _, warm, strategies, failures = solve_nonlinear_dc_batch(
             batch, options=options, x0=x)
         assert not failures
@@ -157,7 +179,9 @@ class TestBatchedScalarEquivalence:
 
 class TestHomotopyPaths:
     """Samples the plain batched loop cannot finish demote to the scalar
-    ladder, so gmin/source-stepping results are exactly the scalar ones."""
+    ladder, so gmin/source-stepping results are exactly the scalar ones.
+    The batch starts cold (an explicit zero guess): from the anchor these
+    samples converge by plain Newton."""
 
     def _run(self, factory, options):
         compiled = CompiledCircuit(getattr(circuits, factory)().circuit)
@@ -165,7 +189,7 @@ class TestHomotopyPaths:
         demotions = global_registry().counter("newton.batch_demotions")
         before = demotions.value
         x, iterations, strategies, failures = solve_nonlinear_dc_batch(
-            batch, options=options)
+            batch, options=options, x0=np.zeros(compiled.size))
         assert not failures
         assert demotions.value > before
         _assert_matches_scalar(batch, x, options)
@@ -244,11 +268,13 @@ class TestConvergenceMask:
         its row equals the same sample solved alone."""
         compiled, batch = _staggered_diode_batch([0.2, 5.0])
         options = _tight()
-        x, iterations, _, _ = solve_nonlinear_dc_batch(batch, options=options)
+        cold = np.zeros(compiled.size)
+        x, iterations, _, _ = solve_nonlinear_dc_batch(
+            batch, options=options, x0=cold)
         assert int(iterations[0]) < int(iterations[1])
         _, alone = _staggered_diode_batch([0.2])
         x_alone, iters_alone, _, _ = solve_nonlinear_dc_batch(
-            alone, options=options)
+            alone, options=options, x0=cold)
         assert int(iters_alone[0]) == int(iterations[0])
         assert np.array_equal(x[0], x_alone[0])
 
@@ -390,6 +416,34 @@ class TestDCSweepBatch:
             reference = dc_sweep(circuit, "V1", grid,
                                  variables={"rtop": float(rtop)},
                                  options=options)
+            scale = max(float(np.max(np.abs(reference.data))), 1.0)
+            assert float(np.max(np.abs(result.data - reference.data))) \
+                <= TOLERANCE * scale
+
+    def test_demoted_rows_of_a_source_sweep_solve_the_swept_value(
+            self, monkeypatch):
+        """A sample the batched loop hands to the scalar path is solved at
+        the grid point's source value, not the source's nominal one."""
+        circuit = self._diode_with_rtop()
+        batch = CompiledCircuit(circuit).restamp_batch(
+            temperature=[27.0, 27.0])
+        grid = [0.5, 3.0]
+        options = _tight()
+        reference = dc_sweep(circuit, "V1", grid, options=options)
+        real = op_module._newton_rows
+
+        def failing_batches(state, rows, x, *args, **kwargs):
+            if rows.size < 2:
+                return real(state, rows, x, *args, **kwargs)
+            return {}, {int(k): ConvergenceError("forced") for k in rows}, \
+                [int(rows.size)], False
+
+        monkeypatch.setattr(op_module, "_newton_rows", failing_batches)
+        results, failures = dc_sweep_batch(batch, "V1", grid,
+                                           options=options)
+        assert not failures
+        for result in results:
+            assert result.strategies == ["newton", "newton"]
             scale = max(float(np.max(np.abs(reference.data))), 1.0)
             assert float(np.max(np.abs(result.data - reference.data))) \
                 <= TOLERANCE * scale
