@@ -563,7 +563,7 @@ def ac_analysis(circuit: Optional[Circuit],
         A precompiled circuit structure — scenario sweeps compile the
         topology once and restamp values per sample; ``circuit`` may
         then be ``None``.  The bias point then starts from the
-        structure's anchor, as in
+        structure's anchor under tight options, as in
         :func:`~repro.analysis.op.operating_point`.
     """
     sweep = FrequencySweep.coerce(sweep)

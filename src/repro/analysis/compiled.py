@@ -615,6 +615,8 @@ class BatchStampState:
                               else [{} for _ in range(b_dc.shape[0])])
         #: Whether ``b_dc`` was patched past what the contexts restamp (a
         #: DC source sweep point); :meth:`sample_system` then carries it.
+        #: Otherwise the scalar restamp stands: a vectorized restamp
+        #: evaluates expressions elementwise, so its bits may differ.
         self.rhs_patched = rhs_patched
 
     def sample_context(self, index: int) -> AnalysisContext:

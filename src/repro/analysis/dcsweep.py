@@ -18,7 +18,8 @@ compile/restamp architecture exists to avoid, so the sweep engine here
   the full homotopy ladder.  If a warm start fails to converge (a sharp
   region change), the point is retried cold before giving up.  The first
   point starts from the structure's anchor when the caller passes a
-  reusable ``compiled=`` (see :func:`~repro.analysis.op.operating_point`).
+  reusable ``compiled=`` and tight options
+  (see :func:`~repro.analysis.op.anchor_for`).
 
 Sweep grids may ascend or descend (ramp-down curves are how hysteresis
 hunting is done); see :func:`repro.analysis.sweeps.lin_sweep`.
@@ -35,6 +36,7 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
 from repro.analysis.op import (
     NewtonOptions,
+    anchor_for,
     linear_dc_matrix,
     solve_dc,
     solve_linear_dc_batch,
@@ -97,7 +99,8 @@ def dc_sweep(circuit: Optional[Circuit],
     compiled:
         Precompiled structure to reuse (the Monte Carlo path: compile the
         topology once, sweep transfer curves per sample).  The first
-        point then starts from the structure's anchor.
+        point then starts from the structure's anchor under tight
+        options (see :func:`~repro.analysis.op.anchor_for`).
     context:
         Pre-built analysis context (used internally by batch engines).
     """
@@ -152,7 +155,7 @@ def _dc_sweep_impl(circuit, sweep, grid, temperature, gmin, variables,
 
     anchor = None
     if reusable and system.nonlinear_elements:
-        anchor = compiled.anchor(system.backend)
+        anchor = anchor_for(compiled, system.backend, options)
 
     n = system.size
     data = np.zeros((len(grid), n))

@@ -2,10 +2,12 @@
 
 The solver is a classic SPICE-style ladder of strategies:
 
-0. on a reusable compiled structure with no explicit guess, plain Newton
-   from the structure's **anchor** (:class:`BiasAnchor`, its 27 degC
-   nominal bias point), kept only when every junction device conducts as
-   it does at the anchor; any failure falls through to the cold ladder;
+0. on a reusable compiled structure with no explicit guess and options
+   at least as tight as :data:`STABILITY_NEWTON` (:func:`anchor_for`),
+   plain Newton from the structure's **anchor** (:class:`BiasAnchor`,
+   its 27 degC nominal bias point), kept only when every junction device
+   conducts as it does at the anchor; any failure falls through to the
+   cold ladder;
 1. plain Newton-Raphson with per-device junction-voltage limiting;
 2. **gmin stepping** — solve with a large conductance to ground on every
    node and progressively reduce it to the target ``gmin``;
@@ -164,12 +166,31 @@ def solve_anchor(compiled: CompiledCircuit, backend) -> Optional[BiasAnchor]:
             x, _, strategy = solve_dc(system, np.zeros(system.size),
                                       STABILITY_NEWTON)
             conducting = conduction_states(system, x, system.ctx)
-        except (AnalysisError, ArithmeticError, ValueError):
+        except AnalysisError:
             anchor_span.set(converged=False)
             return None
         anchor_span.set(converged=True, strategy=strategy)
     x.flags.writeable = False
     return BiasAnchor(x, conducting)
+
+
+def anchor_for(compiled: CompiledCircuit, backend,
+               options: NewtonOptions) -> Optional[BiasAnchor]:
+    """The anchor a solve on ``compiled`` under ``options`` starts from:
+    ``compiled.anchor(backend)`` when ``options`` converge at least as
+    tightly as :data:`STABILITY_NEWTON`, else ``None`` (the cold ladder).
+
+    Two Newton runs from different starts stop at different iterates
+    within their tolerance of one fixpoint.  At the default reltol 1e-4
+    an anchored and a cold solve land up to ~3e-8 apart, so a compiled
+    solve would stop reproducing ``operating_point(circuit)`` to 1e-9;
+    at the stability tolerances they agree to ~1e-13.
+    """
+    if (options.reltol > STABILITY_NEWTON.reltol
+            or options.vntol > STABILITY_NEWTON.vntol
+            or options.abstol > STABILITY_NEWTON.abstol):
+        return None
+    return compiled.anchor(backend)
 
 
 def operating_point(circuit: Optional[Circuit],
@@ -216,12 +237,14 @@ def operating_point(circuit: Optional[Circuit],
         (:class:`~repro.analysis.compiled.CompiledCircuit`).  Scenario
         sweeps compile the topology once and pass it here so each sample
         only restamps values; ``circuit`` may then be ``None``.  A
-        nonlinear solve with no ``initial_guess`` then starts plain
+        nonlinear solve with no ``initial_guess`` and options at least
+        as tight as :data:`STABILITY_NEWTON` then starts plain
         Newton from the structure's anchor (:class:`BiasAnchor`, its
         27 degC nominal bias point) and falls back to the cold ladder
         from zeros when that rung diverges, hits a singular step, lands
         on a non-physical point or a device conducts differently than at
-        the anchor.  Without ``compiled`` the solve is the cold ladder.
+        the anchor (see :func:`anchor_for`).  Otherwise the solve is the
+        cold ladder.
     """
     options = options or NewtonOptions()
     if system is None:
@@ -257,7 +280,7 @@ def operating_point(circuit: Optional[Circuit],
     anchor = None
     if compiled is not None and initial_guess is None \
             and system.nonlinear_elements:
-        anchor = compiled.anchor(system.backend)
+        anchor = anchor_for(compiled, system.backend, options)
     x, iterations, strategy = solve_dc(system, x0, options, anchor)
     device_info, info_failures = _collect_device_info(system, x)
     return OPResult(system.variable_names, x, device_info=device_info,
@@ -391,8 +414,9 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     paying.
 
     With no ``x0`` every sample starts from the structure's anchor
-    (:class:`BiasAnchor`, its 27 degC nominal bias point; zeros when it
-    has none), as the scalar :func:`operating_point` on a compiled
+    (:class:`BiasAnchor`, its 27 degC nominal bias point) when
+    :func:`anchor_for` gives one, else from zeros, as the scalar
+    :func:`operating_point` on a compiled
     structure does, and a row converged from it must pass the same
     conduction-state guard.
 
@@ -448,7 +472,7 @@ def solve_nonlinear_dc_batch(batch: BatchStampState, backend=None,
     anchor = None
     if x0 is None:
         x0_plane = np.zeros((n_samples, n))
-        anchor = compiled.anchor(backend)
+        anchor = anchor_for(compiled, backend, options)
     else:
         x0_plane = np.array(x0, dtype=float)
         if x0_plane.ndim == 1:
@@ -861,7 +885,7 @@ def _solve_nonlinear(system: MNASystem, x0: np.ndarray, options: NewtonOptions,
                 fallback = "singular"
             except _NonPhysicalPoint:
                 fallback = "nonphysical"
-            except (ConvergenceError, ArithmeticError, ValueError):
+            except ConvergenceError:
                 fallback = "diverged"
             else:
                 fallback = None

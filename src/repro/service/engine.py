@@ -565,9 +565,9 @@ def execute_linear_batch(requests: Sequence[AnalysisRequest],
             # (same fixpoint as the scalar screening path) and
             # warm-start from a pilot sample that starts from the
             # structure's anchor (Monte Carlo scatter shares one bias
-            # neighbourhood); op/ac groups start every row from the
-            # anchor on the default options, as the scalar op does, so
-            # they keep their 1e-9 scalar parity.
+            # neighbourhood); op/ac groups stay cold on the default
+            # options, which take no anchor, so their 1e-9 scalar
+            # parity holds bit for bit.
             x, iterations, strategies, failures = solve_nonlinear_dc_batch(
                 batch, backend=first.backend,
                 options=STABILITY_NEWTON if stability else None,

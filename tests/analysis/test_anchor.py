@@ -3,7 +3,9 @@ deterministic 27 degC nominal bias point.
 
 The anchor (``CompiledCircuit.anchor``) is the cold ladder's solution at
 27 degC with the circuit's nominal variables; ``operating_point`` with a
-reusable ``compiled=`` runs plain Newton from it before the cold ladder.
+reusable ``compiled=`` and the tight stability options runs plain Newton
+from it before the cold ladder, and on the default options keeps the
+cold ladder.
 These tests hold the anchored solves to the cold reference
 (``operating_point(circuit)``) on every bundled nonlinear circuit, pin
 that a request's result does not depend on what ran before it, and force
@@ -12,6 +14,7 @@ each fallback to show that it reproduces the cold ladder bit for bit.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import circuits
-from repro.analysis import CompiledCircuit, NewtonOptions, operating_point
+from repro.analysis import CompiledCircuit, operating_point
 from repro.analysis import op as op_module
 from repro.analysis.dcsweep import dc_sweep
 from repro.analysis.op import (
@@ -80,22 +83,39 @@ class TestAgreement:
         compiled = CompiledCircuit(circuit)
         before_fallbacks = _fallbacks()
         before_hits = _counter("newton.anchor.hits")
-        solves = 0
-        for options, tolerance in ((STABILITY_NEWTON, 1e-9),
-                                   (NewtonOptions(), 1e-6)):
-            for temperature in AGREEMENT[name]:
-                cold = operating_point(circuit, temperature=temperature,
-                                       options=options, backend=backend)
-                anchored = operating_point(
-                    circuit, temperature=temperature, options=options,
-                    backend=backend, compiled=compiled)
-                solves += 1
-                assert _relative_gap(anchored.x, cold.x) <= tolerance, \
-                    (temperature, options.reltol)
-                assert anchored.strategy == "newton"
+        for temperature in AGREEMENT[name]:
+            cold = operating_point(circuit, temperature=temperature,
+                                   options=STABILITY_NEWTON, backend=backend)
+            anchored = operating_point(
+                circuit, temperature=temperature, options=STABILITY_NEWTON,
+                backend=backend, compiled=compiled)
+            assert _relative_gap(anchored.x, cold.x) <= 1e-9, temperature
+            assert anchored.strategy == "newton"
         # Every anchored solve was accepted; no guard or rung fell back.
         assert _fallbacks() == before_fallbacks
-        assert _counter("newton.anchor.hits") - before_hits == solves
+        assert _counter("newton.anchor.hits") - before_hits \
+            == len(AGREEMENT[name])
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", sorted(AGREEMENT))
+    def test_default_options_keep_the_cold_ladder(self, name, backend):
+        """At the default reltol 1e-4 an anchored solve would stop up to
+        ~3e-8 away from the cold one, so the compiled path stays cold and
+        reproduces ``operating_point(circuit)`` to 1e-9."""
+        circuit = getattr(circuits, name)().circuit
+        compiled = CompiledCircuit(circuit)
+        solves = _counter("newton.anchor.solves")
+        for temperature in AGREEMENT[name]:
+            cold = operating_point(circuit, temperature=temperature,
+                                   backend=backend)
+            via_compiled = operating_point(
+                circuit, temperature=temperature, backend=backend,
+                compiled=compiled)
+            assert _relative_gap(via_compiled.x, cold.x) <= 1e-9, temperature
+            assert via_compiled.iterations == cold.iterations
+            assert via_compiled.strategy == cold.strategy
+        assert _counter("newton.anchor.solves") == solves
+        assert not compiled._anchors
 
     def test_anchor_is_the_nominal_cold_solve(self):
         circuit = circuits.opamp_buffer().circuit
@@ -118,16 +138,17 @@ class TestAgreement:
         hits = _counter("newton.anchor.hits")
         for temperature in (0.0, 50.0, 100.0):
             operating_point(None, temperature=temperature, compiled=compiled,
-                            backend="dense")
+                            backend="dense", options=STABILITY_NEWTON)
         assert _counter("newton.anchor.solves") - solves == 1
         assert _counter("newton.anchor.hits") - hits == 3
 
     def test_an_explicit_guess_stays_cold(self):
         circuit = circuits.emitter_follower().circuit
         compiled = CompiledCircuit(circuit)
-        cold = operating_point(circuit, temperature=85.0)
+        cold = operating_point(circuit, temperature=85.0,
+                               options=STABILITY_NEWTON)
         guessed = operating_point(circuit, temperature=85.0,
-                                  compiled=compiled,
+                                  compiled=compiled, options=STABILITY_NEWTON,
                                   initial_guess=np.zeros(compiled.size))
         assert np.array_equal(guessed.x, cold.x)
         assert guessed.iterations == cold.iterations
@@ -138,7 +159,8 @@ class TestAgreement:
         compiled = CompiledCircuit(circuit)
         tracer = Tracer()
         with use_tracer(tracer):
-            operating_point(None, temperature=85.0, compiled=compiled)
+            operating_point(None, temperature=85.0, compiled=compiled,
+                            options=STABILITY_NEWTON)
         spans = tracer.spans()
         anchor_span = next(s for s in spans if s.name == "newton.anchor")
         assert anchor_span.attrs["converged"] is True
@@ -179,10 +201,11 @@ class TestFallback:
         monkeypatch.setattr(compiled, "anchor", lambda backend=None: all_off)
         # At 27 degC plain Newton from zeros converges (to the conducting
         # bias point), so only the guard can reject the rung.
-        cold = operating_point(circuit)
+        cold = operating_point(circuit, options=STABILITY_NEWTON)
         assert cold.strategy == "newton"
         before = _fallbacks()
-        result = operating_point(None, compiled=compiled)
+        result = operating_point(None, compiled=compiled,
+                                 options=STABILITY_NEWTON)
         self._assert_cold(result, cold)
         after = _fallbacks()
         assert after["region"] - before["region"] == 1
@@ -201,7 +224,8 @@ class TestFallback:
         compiled = CompiledCircuit(circuit)
         compiled.restamp()
         anchor = compiled.anchor()
-        cold = operating_point(circuit, temperature=125.0)
+        cold = operating_point(circuit, temperature=125.0,
+                               options=STABILITY_NEWTON)
         real = op_module._newton_loop
 
         def failing_from_the_anchor(system, x0, options, **kwargs):
@@ -211,9 +235,28 @@ class TestFallback:
 
         monkeypatch.setattr(op_module, "_newton_loop", failing_from_the_anchor)
         before = _counter(f"newton.anchor.fallbacks.{reason}")
-        result = operating_point(None, temperature=125.0, compiled=compiled)
+        result = operating_point(None, temperature=125.0, compiled=compiled,
+                                 options=STABILITY_NEWTON)
         self._assert_cold(result, cold)
         assert _counter(f"newton.anchor.fallbacks.{reason}") - before == 1
+
+    def test_other_errors_on_the_anchored_rung_propagate(self, monkeypatch):
+        """Only the cold ladder's failures hand over; a programming error
+        on the rung is not filed as a divergence."""
+        compiled = CompiledCircuit(circuits.bias_circuit().circuit)
+        compiled.restamp()
+        anchor = compiled.anchor()
+        real = op_module._newton_loop
+
+        def broken_from_the_anchor(system, x0, options, **kwargs):
+            if x0 is anchor.x:
+                raise ValueError("device code bug")
+            return real(system, x0, options, **kwargs)
+
+        monkeypatch.setattr(op_module, "_newton_loop", broken_from_the_anchor)
+        with pytest.raises(ValueError, match="device code bug"):
+            operating_point(None, temperature=125.0, compiled=compiled,
+                            options=STABILITY_NEWTON)
 
     def test_a_real_region_change_falls_back(self):
         """Reverse-biasing the diode turns it off: Newton from the
@@ -221,10 +264,11 @@ class TestFallback:
         solve to the cold ladder."""
         circuit = _diode_circuit()
         compiled = CompiledCircuit(circuit)
-        cold = operating_point(circuit, variables={"vsup": -1.0})
+        cold = operating_point(circuit, variables={"vsup": -1.0},
+                               options=STABILITY_NEWTON)
         before = _counter("newton.anchor.fallbacks.region")
         result = operating_point(None, variables={"vsup": -1.0},
-                                 compiled=compiled)
+                                 compiled=compiled, options=STABILITY_NEWTON)
         self._assert_cold(result, cold)
         assert _counter("newton.anchor.fallbacks.region") - before == 1
 
@@ -254,11 +298,12 @@ class TestBatch:
                 [int(rows.size)], False
 
         monkeypatch.setattr(op_module, "_newton_rows", failing_batches)
-        x, iterations, strategies, failures = solve_nonlinear_dc_batch(batch)
+        x, iterations, strategies, failures = solve_nonlinear_dc_batch(
+            batch, options=STABILITY_NEWTON)
         assert not failures
         for k, temperature in enumerate(temperatures):
             op = operating_point(None, temperature=temperature,
-                                 compiled=compiled)
+                                 compiled=compiled, options=STABILITY_NEWTON)
             assert np.array_equal(x[k], op.x)
             assert int(iterations[k]) == op.iterations
             assert strategies[k] == op.strategy == "newton"
@@ -268,10 +313,12 @@ class TestBatch:
         batch = compiled.restamp_batch(
             variables={"vsup": np.array([0.8, -1.0, 1.2])})
         before = _counter("newton.anchor.fallbacks.region")
-        x, iterations, strategies, failures = solve_nonlinear_dc_batch(batch)
+        x, iterations, strategies, failures = solve_nonlinear_dc_batch(
+            batch, options=STABILITY_NEWTON)
         assert not failures
         assert strategies == ["newton-batch", "newton", "newton-batch"]
-        cold = operating_point(_diode_circuit(), variables={"vsup": -1.0})
+        cold = operating_point(_diode_circuit(), variables={"vsup": -1.0},
+                               options=STABILITY_NEWTON)
         assert np.array_equal(x[1], cold.x)
         assert int(iterations[1]) == cold.iterations
         assert _counter("newton.anchor.fallbacks.region") - before == 1
@@ -298,9 +345,11 @@ class TestBatch:
         assert strategies[1:] == ["newton-batch", "newton-batch"]
 
 
-#: The request of the history test, and the script that runs it in a
-#: fresh interpreter: the response without its timing fields.
-_REQUEST = {"mode": "op", "temperature": 85.0, "variables": {"vcm": 2.52}}
+#: The request of the history test (a stability screen, which solves its
+#: bias point from the anchor), and the script that runs it in a fresh
+#: interpreter and prints its response.
+_REQUEST = {"mode": "all-nodes", "temperature": 85.0,
+            "variables": {"vcm": 2.52}}
 _RUN_FRESH = """
 import json, sys
 from repro.circuits import opamp_buffer_netlist
@@ -310,9 +359,19 @@ request = AnalysisRequest(netlist=opamp_buffer_netlist(),
                           **json.loads(sys.argv[1]))
 data = execute_request(request).to_dict()
 assert data["status"] == "done", data["error"]
-del data["elapsed_seconds"], data["created"]
-print(json.dumps(data, sort_keys=True))
+print(json.dumps(data))
 """
+_ELAPSED = re.compile(r"Elapsed: [0-9.]+ s")
+
+
+def _canonical(data):
+    """A response's JSON text without its timing fields."""
+    data = dict(data)
+    del data["elapsed_seconds"], data["created"]
+    data["report"] = _ELAPSED.sub("Elapsed: - s", data["report"])
+    data["result"] = {k: v for k, v in data["result"].items()
+                      if k != "elapsed_seconds"}
+    return json.dumps(data, sort_keys=True)
 
 
 class TestHistoryIndependence:
@@ -327,7 +386,7 @@ class TestHistoryIndependence:
             p for p in (src, env.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-c", _RUN_FRESH, json.dumps(_REQUEST)],
-            env=env, capture_output=True, text=True, check=True).stdout.strip()
+            env=env, capture_output=True, text=True, check=True).stdout
 
     def test_result_does_not_depend_on_earlier_requests(self):
         from repro.service import engine
@@ -337,15 +396,13 @@ class TestHistoryIndependence:
             response = engine.execute_request(AnalysisRequest(
                 netlist=circuits.opamp_buffer_netlist(), **_REQUEST))
             assert response.status == "done", response.error
-            data = response.to_dict()
-            del data["elapsed_seconds"], data["created"]
-            return json.dumps(data, sort_keys=True)
+            return _canonical(response.to_dict())
 
         engine._COMPILED_CACHE.clear()
         first = run()
         for k in range(5):
             engine.execute_request(AnalysisRequest(
-                mode="op", netlist=circuits.opamp_buffer_netlist(),
+                mode="all-nodes", netlist=circuits.opamp_buffer_netlist(),
                 temperature=-40.0 + 30.0 * k,
                 variables={"vcm": 2.4 + 0.05 * k, "itail": 3e-5 + 5e-6 * k}))
         assert run() == first
@@ -363,4 +420,4 @@ class TestHistoryIndependence:
         finally:
             engine.set_compiled_cache_size(saved)
 
-        assert self._fresh() == first
+        assert _canonical(json.loads(self._fresh())) == first

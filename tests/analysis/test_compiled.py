@@ -13,7 +13,7 @@ import pytest
 
 from repro import circuits
 from repro.analysis import AnalysisContext, CompiledCircuit, MNASystem
-from repro.analysis.op import STABILITY_NEWTON, operating_point
+from repro.analysis.op import operating_point
 from repro.circuit.builder import CircuitBuilder
 from repro.exceptions import NetlistError
 
@@ -290,11 +290,8 @@ def test_mnasystem_restamp_tracks_context_mutation():
 
 
 def test_operating_point_accepts_precompiled(compiled, circuit):
-    # The compiled path starts from the structure's anchor: the tight
-    # options put both solves on one fixpoint to well inside 1e-9.
-    direct = operating_point(circuit, options=STABILITY_NEWTON)
-    via_compiled = operating_point(None, compiled=compiled,
-                                   options=STABILITY_NEWTON)
+    direct = operating_point(circuit)
+    via_compiled = operating_point(None, compiled=compiled)
     scale = max(float(np.max(np.abs(direct.x))), 1.0)
     assert np.max(np.abs(direct.x - via_compiled.x)) <= 1e-9 * scale
 

@@ -19,7 +19,11 @@ from repro import circuits
 from repro.analysis import CompiledCircuit, NewtonOptions, operating_point
 from repro.analysis.dcsweep import dc_sweep, dc_sweep_batch
 from repro.analysis import op as op_module
-from repro.analysis.op import solve_dc, solve_nonlinear_dc_batch
+from repro.analysis.op import (
+    STABILITY_NEWTON,
+    solve_dc,
+    solve_nonlinear_dc_batch,
+)
 from repro.circuit import CircuitBuilder
 from repro.circuit.elements import DiodeModel
 from repro.circuit.elements.base import Element
@@ -75,35 +79,15 @@ def _batch_span(batch, **kwargs):
 
 class TestOneIteration:
     """The scalar ladder and the batched solve run one Newton iteration,
-    so a batch of one row is the scalar path bit for bit: from the
-    structure's anchor on a shared compiled circuit, and from an explicit
-    cold guess against the cold ladder."""
+    so a batch of one row is the scalar path bit for bit."""
 
     @pytest.mark.parametrize("temperature", [27.0, -40.0])
     @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
     def test_one_row_batch_is_the_scalar_path(self, name, temperature):
         circuit = getattr(circuits, name)().circuit
-        compiled = CompiledCircuit(circuit)
-        batch = compiled.restamp_batch(temperature=[temperature])
-        (x, iterations, strategies, failures), span = _batch_span(batch)
-        op = operating_point(circuit, temperature=temperature,
-                             compiled=compiled)
-        assert not failures
-        assert np.array_equal(x[0], op.x)
-        assert int(iterations[0]) == op.iterations
-        assert strategies[0] == ("newton-batch" if op.strategy == "newton"
-                                 else op.strategy)
-        # One row takes the exact row refill, not the vector pass.
-        assert span.attrs["vectorized"] is False
-
-    @pytest.mark.parametrize("temperature", [27.0, -40.0])
-    @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
-    def test_one_cold_row_is_the_cold_ladder(self, name, temperature):
-        circuit = getattr(circuits, name)().circuit
         batch = CompiledCircuit(circuit).restamp_batch(
             temperature=[temperature])
-        (x, iterations, strategies, failures), span = _batch_span(
-            batch, x0=np.zeros(batch.compiled.size))
+        (x, iterations, strategies, failures), span = _batch_span(batch)
         op = operating_point(circuit, temperature=temperature)
         assert not failures
         assert np.array_equal(x[0], op.x)
@@ -112,6 +96,26 @@ class TestOneIteration:
                                  else op.strategy)
         # One row takes the exact row refill, not the vector pass.
         assert span.attrs["vectorized"] is False
+
+    @pytest.mark.parametrize("temperature", [27.0, -40.0])
+    @pytest.mark.parametrize("name", NONLINEAR_FACTORIES)
+    def test_one_anchored_row_is_the_anchored_scalar_path(self, name,
+                                                          temperature):
+        """On the stability options both start from the structure's
+        anchor, and still agree bit for bit."""
+        circuit = getattr(circuits, name)().circuit
+        compiled = CompiledCircuit(circuit)
+        batch = compiled.restamp_batch(temperature=[temperature])
+        (x, iterations, strategies, failures), span = _batch_span(
+            batch, options=STABILITY_NEWTON)
+        op = operating_point(circuit, temperature=temperature,
+                             compiled=compiled, options=STABILITY_NEWTON)
+        assert not failures
+        assert np.array_equal(x[0], op.x)
+        assert int(iterations[0]) == op.iterations
+        assert strategies[0] == ("newton-batch" if op.strategy == "newton"
+                                 else op.strategy)
+        assert span.attrs["anchored"] is True
 
     @pytest.mark.parametrize("rows", [2, 5])
     def test_uniform_batch_of_two_or_more_vectorizes(self, rows):
