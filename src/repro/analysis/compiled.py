@@ -900,23 +900,25 @@ class _CompiledSolutionView:
     through the compiled index.
     """
 
-    __slots__ = ("_compiled", "_x")
+    __slots__ = ("_compiled", "_values")
 
     def __init__(self, compiled: "CompiledCircuit", x: np.ndarray):
         self._compiled = compiled
-        self._x = x
+        # Python floats: the scalar device evaluation reads a handful of
+        # them per device and stays off numpy scalars.
+        self._values = np.real(x).tolist()
 
     def voltage(self, node: str) -> float:
         index = self._compiled.index_of(node)
         if index is None:
             return 0.0
-        return float(np.real(self._x[index]))
+        return self._values[index]
 
     def current(self, branch: str) -> float:
         index = self._compiled.index_of(branch)
         if index is None:
             return 0.0
-        return float(np.real(self._x[index]))
+        return self._values[index]
 
 
 class _BatchSolutionView:
@@ -950,8 +952,9 @@ class _BatchNewtonContext:
     """Minimal array-valued context for the batched companion refill.
 
     Temperature is a *scalar* (the vectorized refill requires a
-    temperature-uniform batch — the device temperature equations use
-    scalar ``math``); ``gmin`` may be a scalar or an ``(A,)`` column.
+    temperature-uniform batch: each device evaluates every lane on one
+    set of per-temperature parameters, cached per model value and
+    temperature); ``gmin`` may be a scalar or an ``(A,)`` column.
     Device limiting state holds ``(A,)`` arrays sized to the current
     active set.  Anything else an element reaches for raises
     ``AttributeError``, demoting the refill to the exact per-sample
@@ -1044,8 +1047,9 @@ class BatchNewtonState:
     # ------------------------------------------------------------------
     @property
     def vector_ready(self) -> bool:
-        """Whether the vectorized refill may run: the device temperature
-        equations are scalar, so the batch must be temperature-uniform."""
+        """Whether the vectorized refill may run: each device evaluates
+        every lane on one set of per-temperature parameters, so the batch
+        must be temperature-uniform."""
         return self._temps_uniform
 
     def set_gshunt(self, gshunt: float) -> None:
@@ -1408,12 +1412,12 @@ def linearize_batch(batch: BatchStampState,
         c_values[:, :newton.cap_linear_nnz] = batch.c_values
 
         # One limiting fixpoint for every healthy sample at once when the
-        # batch is temperature-uniform (the device temperature equations
-        # are scalar).  Array-shy device code or a per-sample numerical
-        # problem demotes to the exact per-sample loop below, which
-        # isolates and diagnoses it without poisoning the batch.
-        # Incremental capacitances stay per-sample: their depletion-charge
-        # branches are value-dependent.
+        # batch is temperature-uniform (each device evaluates every lane
+        # on one set of per-temperature parameters).  Array-shy device
+        # code or a per-sample numerical problem demotes to the exact
+        # per-sample loop below, which isolates and diagnoses it without
+        # poisoning the batch.  Incremental capacitances stay per-sample:
+        # the MOSFET's Meyer regions branch on scalar values.
         vectorized = False
         if len(healthy) >= 2 and np.all(
                 batch.temperatures == batch.temperatures[0]):
@@ -1509,6 +1513,13 @@ class CompiledCircuit:
                 self.branch_names.append(branch)
         if not self._index:
             raise NetlistError("circuit has no unknowns (only ground nodes?)")
+        # index_of's lookup: every unknown plus the circuit's own ground
+        # spellings, so the device reads in a Newton refill skip is_ground.
+        self._lookup: Dict[str, Optional[int]] = dict(self._index)
+        for element in self.circuit:
+            for node in element.nodes:
+                if is_ground(node):
+                    self._lookup[node] = None
 
     @property
     def size(self) -> int:
@@ -1522,11 +1533,11 @@ class CompiledCircuit:
 
     def index_of(self, variable: str) -> Optional[int]:
         """Index of a node or branch unknown; ``None`` for ground."""
-        if is_ground(variable):
-            return None
         try:
-            return self._index[variable]
+            return self._lookup[variable]
         except KeyError:
+            if is_ground(variable):
+                return None
             raise NetlistError(f"unknown node or branch {variable!r}") from None
 
     def has_variable(self, variable: str) -> bool:

@@ -51,6 +51,9 @@ class SolutionView:
     def __init__(self, system: "MNASystem", x: np.ndarray):
         self._system = system
         self._x = x
+        # Python floats: device evaluations read a handful of them per
+        # device and stay off numpy scalars.
+        self._values = np.real(x).tolist()
 
     @property
     def vector(self) -> np.ndarray:
@@ -61,14 +64,14 @@ class SolutionView:
         index = self._system.index_of(node)
         if index is None:
             return 0.0
-        return float(np.real(self._x[index]))
+        return self._values[index]
 
     def current(self, branch_key: str) -> float:
         """Branch current of an element that owns a branch unknown."""
         index = self._system.index_of(branch_key)
         if index is None:
             raise NetlistError(f"unknown branch {branch_key!r}")
-        return float(np.real(self._x[index]))
+        return self._values[index]
 
     def voltages(self) -> Dict[str, float]:
         """All node voltages as a dictionary."""

@@ -839,13 +839,16 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
     # Evaluate the true (non-companion) device currents at the solution:
     # a junction pushed into the linearised-exponential region reports an
     # absurd current here even when the companion equations look balanced.
+    # Devices without a ``currents`` evaluation vote through their
+    # ``operating_point_info``.
     view = system.solution_view(x)
     for element in system.nonlinear_elements:
-        info_getter = getattr(element, "operating_point_info", None)
-        if info_getter is None:
+        evaluate = (getattr(element, "currents", None)
+                    or getattr(element, "operating_point_info", None))
+        if evaluate is None:
             continue
         try:
-            info = info_getter(view, ctx)
+            info = evaluate(view, ctx)
         except (ArithmeticError, ValueError):
             # Expected numeric edge cases far from the solution (overflow,
             # a fractional power of a negative argument...): the device
@@ -855,7 +858,7 @@ def _check_physical(system: MNASystem, x: np.ndarray, options: NewtonOptions,
             # Anything else is a genuine defect in the device model and
             # must not be silently swallowed as "looks physical".
             raise AnalysisError(
-                f"operating_point_info of device {element.name!r} failed "
+                f"{evaluate.__name__} of device {element.name!r} failed "
                 f"unexpectedly while validating the operating point: "
                 f"{type(exc).__name__}: {exc}") from exc
         for key in ("id", "ic", "ib", "ie"):

@@ -13,23 +13,25 @@ small-signal stability work on precision linear circuits:
 High-injection roll-off (IKF/IKR), leakage saturation currents (ISE/ISC)
 and the parasitic terminal resistances (RB/RC/RE) are not modelled; the
 reference circuits add explicit resistors where base resistance matters to
-a loop.  Derivatives are obtained by complex-step differentiation so the
-stamped conductances are exactly consistent with the current equations.
+a loop.  The currents and their partial derivatives with respect to the
+junction voltages are evaluated together in closed form (SPICE's BJT load)
+from temperature-dependent parameters cached per model value and
+temperature.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 from repro.circuit.elements.nonlinear import (
     CONDUCTION_THERMAL_VOLTAGES,
     NonlinearDevice,
-    cstep_derivative,
-    cstep_gradient,
+    depletion_capacitance,
     limexp,
     pnjlim,
 )
@@ -39,9 +41,13 @@ from repro.exceptions import ModelError
 __all__ = ["BJTModel", "BJT"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BJTModel:
-    """Parameter set for :class:`BJT` (subset of the SPICE Gummel-Poon card)."""
+    """Parameter set for :class:`BJT` (subset of the SPICE Gummel-Poon card).
+
+    Immutable: :meth:`with_updates` derives a changed copy, and the
+    per-temperature parameter cache is keyed by the model's value.
+    """
 
     name: str = "Q"
     polarity: str = "npn"   #: "npn" or "pnp"
@@ -69,7 +75,7 @@ class BJTModel:
     def __post_init__(self):
         if self.polarity.lower() not in ("npn", "pnp"):
             raise ModelError(f"BJT model {self.name!r}: polarity must be 'npn' or 'pnp'")
-        self.polarity = self.polarity.lower()
+        object.__setattr__(self, "polarity", self.polarity.lower())
         if self.IS <= 0:
             raise ModelError(f"BJT model {self.name!r}: IS must be positive")
         if self.BF <= 0 or self.BR <= 0:
@@ -100,19 +106,31 @@ class BJTModel:
         return self.BR * ratio ** self.XTB
 
 
-def _depletion_charge(v, cj0: float, vj: float, mj: float, fc: float):
-    """Depletion charge of a graded junction, SPICE-style linearisation
-    above ``fc * vj``.  Accepts real or complex ``v``."""
-    if cj0 <= 0.0:
-        return 0.0 * v
-    vr = v.real if isinstance(v, complex) else v
-    fcv = fc * vj
-    if vr < fcv:
-        return cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - v / vj) ** (1.0 - mj))
-    f1 = cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - fc) ** (1.0 - mj))
-    f2 = (1.0 - fc) ** (1.0 + mj)
-    return f1 + cj0 / f2 * ((1.0 - fc * (1.0 + mj)) * (v - fcv)
-                            + 0.5 * mj / vj * (v * v - fcv * fcv))
+class _Parameters(NamedTuple):
+    """Temperature-dependent BJT parameters (area-scaled ``isat``)."""
+
+    isat: float
+    vt: float
+    nfvt: float      #: NF * vt
+    nrvt: float      #: NR * vt
+    bf: float
+    br: float
+    vcrit: float
+    inv_vaf: float   #: 1 / VAF (0 when VAF is infinite)
+    inv_var: float   #: 1 / VAR (0 when VAR is infinite)
+
+
+@functools.lru_cache(maxsize=256)
+def _parameters(model: BJTModel, area: float, temp_c: float) -> _Parameters:
+    """The parameters of ``model`` scaled to ``area`` and ``temp_c``,
+    computed once per (model value, area, temperature)."""
+    isat = area * model.saturation_current(temp_c)
+    vt = thermal_voltage(temp_c)
+    return _Parameters(
+        isat=isat, vt=vt, nfvt=model.NF * vt, nrvt=model.NR * vt,
+        bf=model.beta_forward(temp_c), br=model.beta_reverse(temp_c),
+        vcrit=vt * math.log(vt / (math.sqrt(2.0) * isat)),
+        inv_vaf=1.0 / model.VAF, inv_var=1.0 / model.VAR)
 
 
 class BJT(NonlinearDevice):
@@ -136,92 +154,63 @@ class BJT(NonlinearDevice):
         return {"collector": self.collector, "base": self.base, "emitter": self.emitter}
 
     # ------------------------------------------------------------------
-    # Current equations (NPN-referred junction voltages)
+    # Closed-form evaluation (NPN-referred junction voltages)
     # ------------------------------------------------------------------
-    def _npn_currents(self, vbe, vbc, ctx):
-        """Return (ic, ib) of the NPN-referred transistor, gmin excluded."""
+    def _parameters(self, ctx) -> _Parameters:
+        return _parameters(self.model, self.area, ctx.temperature)
+
+    def _evaluate(self, vbe, vbc, prm: _Parameters):
+        """NPN-referred ``(ic, ib, dic/dvbe, dic/dvbc, dib/dvbe,
+        dib/dvbc)``, gmin excluded.  Scalars or ``(A,)`` arrays."""
+        ef, slope_f = limexp(vbe / prm.nfvt)
+        er, slope_r = limexp(vbc / prm.nrvt)
+        i_f = prm.isat * (ef - 1.0)
+        i_r = prm.isat * (er - 1.0)
+        g_f = prm.isat * slope_f / prm.nfvt
+        g_r = prm.isat * slope_r / prm.nrvt
+
+        # Base charge factor (Early effect only; no high-injection term),
+        # floored at 0.1 to avoid sign flips far from the solution.  The
+        # floor keeps the Early slopes -1/VAF and -1/VAR.
+        qb_inv = 1.0 - vbc * prm.inv_vaf - vbe * prm.inv_var
+        if isinstance(qb_inv, np.ndarray):
+            qb_inv = np.maximum(qb_inv, 0.1)
+        elif qb_inv < 0.1:
+            qb_inv = 0.1
+        i_t = i_f - i_r
+        ic = i_t * qb_inv - i_r / prm.br
+        ib = i_f / prm.bf + i_r / prm.br
+        return (ic, ib,
+                g_f * qb_inv - i_t * prm.inv_var,
+                -g_r * qb_inv - i_t * prm.inv_vaf - g_r / prm.br,
+                g_f / prm.bf,
+                g_r / prm.br)
+
+    def _capacitances(self, vbe, vbc, prm: _Parameters):
+        """Incremental (cbe, cbc): diffusion plus depletion, NPN-referred."""
         m = self.model
-        isat = self.area * m.saturation_current(ctx.temperature)
-        vt = thermal_voltage(ctx.temperature)
-        bf = m.beta_forward(ctx.temperature)
-        br = m.beta_reverse(ctx.temperature)
+        _, slope_f = limexp(vbe / prm.nfvt)
+        _, slope_r = limexp(vbc / prm.nrvt)
+        cbe = m.TF * (prm.isat * slope_f / prm.nfvt) + depletion_capacitance(
+            vbe, self.area * m.CJE, m.VJE, m.MJE, m.FC)
+        cbc = m.TR * (prm.isat * slope_r / prm.nrvt) + depletion_capacitance(
+            vbc, self.area * m.CJC, m.VJC, m.MJC, m.FC)
+        return cbe, cbc
 
-        i_f = isat * (limexp(vbe / (m.NF * vt)) - 1.0)
-        i_r = isat * (limexp(vbc / (m.NR * vt)) - 1.0)
-
-        # Base charge factor (Early effect only; no high-injection term).
-        qb_inv = 1.0 - vbc / m.VAF - (vbe / m.VAR if math.isfinite(m.VAR) else 0.0)
-        qb_real = qb_inv.real if isinstance(qb_inv, (complex, np.ndarray)) else qb_inv
-        if isinstance(qb_real, np.ndarray):
-            # Keep qb positive to avoid sign flips far from the solution.
-            qb_inv = np.where(qb_real < 0.1, qb_inv - (qb_real - 0.1), qb_inv)
-        elif qb_real < 0.1:
-            # Keep qb positive to avoid sign flips far from the solution.
-            qb_inv = qb_inv - (qb_real - 0.1)
-        ict = (i_f - i_r) * qb_inv
-
-        ibe = i_f / bf
-        ibc = i_r / br
-        ic = ict - ibc
-        ib = ibe + ibc
-        return ic, ib
-
-    def _terminal_currents(self, vc, vb, ve, ctx):
-        """Currents flowing out of (collector, base, emitter) nodes into the
-        device, including the gmin junction conductances."""
+    def _junction_voltages(self, x):
         p = self.model.sign
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        ic_npn, ib_npn = self._npn_currents(vbe, vbc, ctx)
-        g = ctx.gmin
-        i_gmin_bc = g * (vb - vc)
-        i_gmin_be = g * (vb - ve)
-        ic = p * ic_npn - i_gmin_bc
-        ib = p * ib_npn + i_gmin_bc + i_gmin_be
-        ie = -(ic + ib)
-        return ic, ib, ie
-
-    # ------------------------------------------------------------------
-    # Charge equations (NPN-referred)
-    # ------------------------------------------------------------------
-    def _charge_be(self, vbe, ctx):
-        m = self.model
-        isat = self.area * m.saturation_current(ctx.temperature)
-        vt = thermal_voltage(ctx.temperature)
-        q = m.TF * isat * (limexp(vbe / (m.NF * vt)) - 1.0)
-        q = q + _depletion_charge(vbe, self.area * m.CJE, m.VJE, m.MJE, m.FC)
-        return q
-
-    def _charge_bc(self, vbc, ctx):
-        m = self.model
-        isat = self.area * m.saturation_current(ctx.temperature)
-        vt = thermal_voltage(ctx.temperature)
-        q = m.TR * isat * (limexp(vbc / (m.NR * vt)) - 1.0)
-        q = q + _depletion_charge(vbc, self.area * m.CJC, m.VJC, m.MJC, m.FC)
-        return q
+        vb = x.voltage(self.base)
+        return p * (vb - x.voltage(self.emitter)), p * (vb - x.voltage(self.collector))
 
     # ------------------------------------------------------------------
     # Limiting
     # ------------------------------------------------------------------
-    def _limit(self, x, ctx):
-        """Junction-voltage limited node voltages (collector, base, emitter)."""
-        m = self.model
-        p = m.sign
-        vt = thermal_voltage(ctx.temperature)
-        isat = self.area * m.saturation_current(ctx.temperature)
-        vcrit = vt * math.log(vt / (math.sqrt(2.0) * isat))
-
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-
+    def _limit(self, x, ctx, prm: _Parameters):
+        """Junction-voltage limited (vbe, vbc)."""
+        vbe, vbc = self._junction_voltages(x)
         state = self.device_state(ctx)
-        vbe_old = state.get("vbe", 0.0)
-        vbc_old = state.get("vbc", 0.0)
-        vbe_lim = pnjlim(vbe, vbe_old, m.NF * vt, vcrit)
-        vbc_lim = pnjlim(vbc, vbc_old, m.NR * vt, vcrit)
+        vbe_lim = pnjlim(vbe, state.get("vbe", 0.0), prm.nfvt, prm.vcrit)
+        vbc_lim = pnjlim(vbc, state.get("vbc", 0.0), prm.nrvt, prm.vcrit)
         state["vbe"] = vbe_lim
         state["vbc"] = vbc_lim
         return vbe_lim, vbc_lim
@@ -230,58 +219,53 @@ class BJT(NonlinearDevice):
     # Stamping
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
+        prm = self._parameters(ctx)
+        vbe, vbc = self._limit(x, ctx, prm)
+        ic, ib, dic_be, dic_bc, dib_be, dib_bc = self._evaluate(vbe, vbc, prm)
         p = self.model.sign
-        vbe, vbc = self._limit(x, ctx)
-        # Reconstruct consistent terminal voltages with the emitter as the
-        # reference so that the companion linearisation point matches the
-        # limited junction voltages.
-        ve = 0.0
-        vb = ve + p * vbe
+        g = ctx.gmin
+        # Terminal voltages with the emitter as the reference, consistent
+        # with the limited junction voltages: the companion linearisation
+        # point.  Currents flow out of (collector, base, emitter) into the
+        # device and include the gmin junction conductances.
+        vb = p * vbe
         vc = vb - p * vbc
-
-        def currents(vc_, vb_, ve_):
-            return self._terminal_currents(vc_, vb_, ve_, ctx)
-
-        ic, ib, ie = currents(vc, vb, ve)
-        nodes = (self.collector, self.base, self.emitter)
-        volts = (vc, vb, ve)
-        jac = [cstep_gradient(lambda a, b, c, k=k: currents(a, b, c)[k], volts)
-               for k in range(3)]
-        self.stamp_companion(stamper, nodes, (ic, ib, ie), jac, volts)
+        i_gmin_bc = g * (vb - vc)
+        i_c = p * ic - i_gmin_bc
+        i_b = p * ib + i_gmin_bc + g * vb
+        jc = (g - dic_bc, dic_be + dic_bc - g, -dic_be)
+        jb = (-dib_bc - g, dib_be + dib_bc + 2.0 * g, -dib_be - g)
+        je = (-(jc[0] + jb[0]), -(jc[1] + jb[1]), -(jc[2] + jb[2]))
+        self.stamp_companion(stamper, (self.collector, self.base, self.emitter),
+                             (i_c, i_b, -(i_c + i_b)), (jc, jb, je),
+                             (vc, vb, 0.0))
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
-        p = self.model.sign
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        cbe = cstep_derivative(lambda v: self._charge_be(v, ctx), vbe)
-        cbc = cstep_derivative(lambda v: self._charge_bc(v, ctx), vbc)
+        vbe, vbc = self._junction_voltages(x)
+        cbe, cbc = self._capacitances(vbe, vbc, self._parameters(ctx))
         stamper.capacitance_op(self.base, self.emitter, cbe)
         stamper.capacitance_op(self.base, self.collector, cbc)
 
     # ------------------------------------------------------------------
     def conducting(self, x, ctx) -> bool:
         """Whether the base-emitter junction is forward-biased."""
-        vbe = self.model.sign * (x.voltage(self.base) - x.voltage(self.emitter))
+        vbe, _ = self._junction_voltages(x)
         return vbe > (CONDUCTION_THERMAL_VOLTAGES * self.model.NF
-                      * thermal_voltage(ctx.temperature))
+                      * self._parameters(ctx).vt)
+
+    def currents(self, x, ctx) -> Dict[str, float]:
+        """NPN-referred collector and base currents (gmin excluded)."""
+        vbe, vbc = self._junction_voltages(x)
+        ic, ib = self._evaluate(vbe, vbc, self._parameters(ctx))[:2]
+        return {"ic": ic, "ib": ib}
 
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Operating-point summary: currents, gm, rpi, ro, capacitances."""
-        p = self.model.sign
-        vc = x.voltage(self.collector)
-        vb = x.voltage(self.base)
-        ve = x.voltage(self.emitter)
-        vbe = p * (vb - ve)
-        vbc = p * (vb - vc)
-        ic, ib = self._npn_currents(vbe, vbc, ctx)
-        gm = cstep_derivative(lambda v: self._npn_currents(v, vbc, ctx)[0], vbe)
-        gpi = cstep_derivative(lambda v: self._npn_currents(v, vbc, ctx)[1], vbe)
-        go = -cstep_derivative(lambda v: self._npn_currents(vbe, v, ctx)[0], vbc)
-        cbe = cstep_derivative(lambda v: self._charge_be(v, ctx), vbe)
-        cbc = cstep_derivative(lambda v: self._charge_bc(v, ctx), vbc)
+        prm = self._parameters(ctx)
+        vbe, vbc = self._junction_voltages(x)
+        ic, ib, gm, dic_bc, gpi, _ = self._evaluate(vbe, vbc, prm)
+        go = -dic_bc
+        cbe, cbc = self._capacitances(vbe, vbc, prm)
         return {
             "vbe": vbe, "vbc": vbc, "vce": vbe - vbc,
             "ic": ic, "ib": ib, "gm": gm,

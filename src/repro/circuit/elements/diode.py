@@ -10,6 +10,9 @@ The small-signal capacitance combines the depletion capacitance (graded
 junction, linearised above ``FC * VJ`` as in SPICE) and the diffusion
 capacitance ``TT * gd``.
 
+The current, conductance and capacitance are evaluated in closed form from
+temperature-dependent parameters cached per model value and temperature.
+
 Series resistance is not modelled (it would require an internal node); the
 circuits in :mod:`repro.circuits` add explicit resistors where bulk
 resistance matters.
@@ -17,14 +20,15 @@ resistance matters.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, replace
+from typing import Dict, NamedTuple
 
 from repro.circuit.elements.nonlinear import (
     CONDUCTION_THERMAL_VOLTAGES,
     NonlinearDevice,
-    cstep_derivative,
+    depletion_capacitance,
     limexp,
     pnjlim,
 )
@@ -34,9 +38,13 @@ from repro.exceptions import ModelError
 __all__ = ["DiodeModel", "Diode"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiodeModel:
-    """Parameter set for :class:`Diode` (SPICE ``.model D`` card subset)."""
+    """Parameter set for :class:`Diode` (SPICE ``.model D`` card subset).
+
+    Immutable: :meth:`with_updates` derives a changed copy, and the
+    per-temperature parameter cache is keyed by the model's value.
+    """
 
     name: str = "D"
     IS: float = 1e-14      #: saturation current [A]
@@ -72,6 +80,24 @@ class DiodeModel:
             (self.EG / (self.N * vt)) * (ratio - 1.0))
 
 
+class _Parameters(NamedTuple):
+    """Temperature-dependent diode parameters (area-scaled ``isat``)."""
+
+    isat: float
+    vt: float        #: N * thermal voltage
+    vcrit: float
+
+
+@functools.lru_cache(maxsize=256)
+def _parameters(model: DiodeModel, area: float, temp_c: float) -> _Parameters:
+    """The parameters of ``model`` scaled to ``area`` and ``temp_c``,
+    computed once per (model value, area, temperature)."""
+    isat = area * model.saturation_current(temp_c)
+    vt = model.N * thermal_voltage(temp_c)
+    return _Parameters(isat=isat, vt=vt,
+                       vcrit=vt * math.log(vt / (math.sqrt(2.0) * isat)))
+
+
 class Diode(NonlinearDevice):
     """Two-terminal junction diode (anode, cathode)."""
 
@@ -92,83 +118,58 @@ class Diode(NonlinearDevice):
         return {"anode": self.anode, "cathode": self.cathode}
 
     # ------------------------------------------------------------------
-    def _isat(self, ctx) -> float:
-        return self.area * self.model.saturation_current(ctx.temperature)
+    def _parameters(self, ctx) -> _Parameters:
+        return _parameters(self.model, self.area, ctx.temperature)
 
-    def _vt(self, ctx) -> float:
-        return self.model.N * thermal_voltage(ctx.temperature)
+    def _evaluate(self, vd, ctx, prm: _Parameters):
+        """Diode current and conductance ``(id, gd)`` at junction voltage
+        ``vd``, gmin included.  Scalar or ``(A,)`` array ``vd``."""
+        value, slope = limexp(vd / prm.vt)
+        return (prm.isat * (value - 1.0) + ctx.gmin * vd,
+                prm.isat * slope / prm.vt + ctx.gmin)
 
-    def _vcrit(self, ctx) -> float:
-        vt = self._vt(ctx)
-        return vt * math.log(vt / (math.sqrt(2.0) * self._isat(ctx)))
-
-    def _limit_voltage(self, vd: float, ctx) -> float:
-        state = self.device_state(ctx)
-        vold = state.get("vd", 0.0)
-        vnew = pnjlim(vd, vold, self._vt(ctx), self._vcrit(ctx))
-        state["vd"] = vnew
-        return vnew
-
-    def _current(self, vd, ctx):
-        """Diode current for (possibly complex) junction voltage."""
-        isat = self._isat(ctx)
-        vt = self._vt(ctx)
-        return isat * (limexp(vd / vt) - 1.0) + ctx.gmin * vd
-
-    def _charge(self, vd, ctx):
-        """Stored charge (depletion + diffusion) for complex-step use."""
+    def _capacitance(self, vd, prm: _Parameters):
+        """Incremental capacitance: diffusion ``TT * dI/dV`` plus depletion."""
         m = self.model
-        isat = self._isat(ctx)
-        vt = self._vt(ctx)
-        cj0 = m.CJO * self.area
-        # Diffusion charge
-        q = m.TT * isat * (limexp(vd / vt) - 1.0)
-        if cj0 > 0.0:
-            vdr = vd.real if isinstance(vd, complex) else vd
-            fcv = m.FC * m.VJ
-            if vdr < fcv:
-                q = q + cj0 * m.VJ / (1.0 - m.M) * (
-                    1.0 - (1.0 - vd / m.VJ) ** (1.0 - m.M))
-            else:
-                # Linearised depletion capacitance above FC*VJ (SPICE style)
-                f1 = cj0 * m.VJ / (1.0 - m.M) * (1.0 - (1.0 - m.FC) ** (1.0 - m.M))
-                f2 = (1.0 - m.FC) ** (1.0 + m.M)
-                q = q + f1 + cj0 / f2 * (
-                    (1.0 - m.FC * (1.0 + m.M)) * (vd - fcv)
-                    + 0.5 * m.M / m.VJ * (vd * vd - fcv * fcv))
-        return q
+        _, slope = limexp(vd / prm.vt)
+        return m.TT * (prm.isat * slope / prm.vt) + depletion_capacitance(
+            vd, m.CJO * self.area, m.VJ, m.M, m.FC)
 
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
-        va = x.voltage(self.anode)
-        vc = x.voltage(self.cathode)
-        vd = self._limit_voltage(va - vc, ctx)
-        current = self._current(vd, ctx)
-        gd = cstep_derivative(lambda v: self._current(v, ctx), vd)
-        # Currents out of (anode, cathode) into the device, Jacobian wrt
-        # the *limited* junction voltage mapped to node voltages.
-        nodes = (self.anode, self.cathode)
-        currents = (current, -current)
-        jac = ((gd, -gd), (-gd, gd))
-        # Companion uses the limited junction voltage as the linearisation
-        # point: reconstruct effective terminal voltages consistent with it.
-        self.stamp_companion(stamper, nodes, currents, jac, (vd, 0.0))
+        prm = self._parameters(ctx)
+        state = self.device_state(ctx)
+        vd = pnjlim(x.voltage(self.anode) - x.voltage(self.cathode),
+                    state.get("vd", 0.0), prm.vt, prm.vcrit)
+        state["vd"] = vd
+        current, gd = self._evaluate(vd, ctx, prm)
+        # Currents out of (anode, cathode) into the device, linearised at
+        # the *limited* junction voltage: the effective terminal voltages
+        # (vd, 0) are consistent with it.
+        self.stamp_companion(stamper, (self.anode, self.cathode),
+                             (current, -current), ((gd, -gd), (-gd, gd)),
+                             (vd, 0.0))
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
         vd = x.voltage(self.anode) - x.voltage(self.cathode)
-        cd = cstep_derivative(lambda v: self._charge(v, ctx), vd)
+        cd = self._capacitance(vd, self._parameters(ctx))
         nodes = (self.anode, self.cathode)
         self.stamp_capacitance_matrix(stamper, nodes, ((cd, -cd), (-cd, cd)))
 
     def conducting(self, x, ctx) -> bool:
         """Whether the junction is forward-biased."""
         vd = x.voltage(self.anode) - x.voltage(self.cathode)
-        return vd > CONDUCTION_THERMAL_VOLTAGES * self._vt(ctx)
+        return vd > CONDUCTION_THERMAL_VOLTAGES * self._parameters(ctx).vt
+
+    def currents(self, x, ctx) -> Dict[str, float]:
+        """Diode current (gmin included)."""
+        vd = x.voltage(self.anode) - x.voltage(self.cathode)
+        return {"id": self._evaluate(vd, ctx, self._parameters(ctx))[0]}
 
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Small dictionary of OP quantities (used by reports/tests)."""
+        prm = self._parameters(ctx)
         vd = x.voltage(self.anode) - x.voltage(self.cathode)
-        current = self._current(vd, ctx)
-        gd = cstep_derivative(lambda v: self._current(v, ctx), vd)
-        cd = cstep_derivative(lambda v: self._charge(v, ctx), vd)
-        return {"vd": vd, "id": current, "gd": gd, "cd": cd}
+        current, gd = self._evaluate(vd, ctx, prm)
+        return {"vd": vd, "id": current, "gd": gd,
+                "cd": self._capacitance(vd, prm)}

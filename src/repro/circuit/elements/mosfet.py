@@ -11,42 +11,34 @@ The model covers what two-stage CMOS amplifier and mirror work needs:
 * ``gmin`` junction conductances from drain/source to bulk.
 
 Sub-threshold conduction is not modelled; the reference circuits bias
-their devices in strong inversion.  Drain current derivatives are obtained
-with complex-step differentiation.
+their devices in strong inversion.  The drain current and its partial
+derivatives with respect to (vgs, vds, vbs) are evaluated in closed form
+from the temperature-scaled KP and VTO, cached per model value and
+temperature.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
-from repro.circuit.elements.nonlinear import (
-    NonlinearDevice,
-    cstep_gradient,
-    fetlim,
-)
+from repro.circuit.elements.nonlinear import NonlinearDevice, fetlim
 from repro.exceptions import ModelError
 
 __all__ = ["MOSFETModel", "MOSFET"]
 
 
-def _csqrt(x):
-    """Square root valid for real, complex or ndarray arguments
-    (complex-step and batch safe)."""
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    if isinstance(x, complex):
-        return cmath.sqrt(x)
-    return math.sqrt(x)
-
-
-@dataclass
+@dataclass(frozen=True)
 class MOSFETModel:
-    """Parameter set for :class:`MOSFET` (SPICE level-1 card subset)."""
+    """Parameter set for :class:`MOSFET` (SPICE level-1 card subset).
+
+    Immutable: :meth:`with_updates` derives a changed copy, and the
+    per-temperature parameter cache is keyed by the model's value.
+    """
 
     name: str = "M"
     polarity: str = "nmos"   #: "nmos" or "pmos"
@@ -68,7 +60,7 @@ class MOSFETModel:
     def __post_init__(self):
         if self.polarity.lower() not in ("nmos", "pmos"):
             raise ModelError(f"MOSFET model {self.name!r}: polarity must be 'nmos' or 'pmos'")
-        self.polarity = self.polarity.lower()
+        object.__setattr__(self, "polarity", self.polarity.lower())
         if self.KP <= 0:
             raise ModelError(f"MOSFET model {self.name!r}: KP must be positive")
         if self.PHI <= 0:
@@ -86,6 +78,22 @@ class MOSFETModel:
 
     def vto_at(self, temp_c: float) -> float:
         return self.VTO + self.VTOTC * (temp_c - self.TNOM)
+
+
+class _Parameters(NamedTuple):
+    """Temperature-dependent MOSFET parameters."""
+
+    kp: float
+    vto: float
+    sqrt_phi: float
+
+
+@functools.lru_cache(maxsize=256)
+def _parameters(model: MOSFETModel, temp_c: float) -> _Parameters:
+    """KP and VTO of ``model`` at ``temp_c`` (and sqrt(PHI)), computed
+    once per (model value, temperature)."""
+    return _Parameters(kp=model.kp_at(temp_c), vto=model.vto_at(temp_c),
+                       sqrt_phi=math.sqrt(model.PHI))
 
 
 class MOSFET(NonlinearDevice):
@@ -114,103 +122,101 @@ class MOSFET(NonlinearDevice):
                 "source": self.source, "bulk": self.bulk}
 
     # ------------------------------------------------------------------
-    # Current equations
+    # Closed-form evaluation
     # ------------------------------------------------------------------
-    def _beta(self, ctx) -> float:
-        return (self.model.kp_at(ctx.temperature) * self.multiplier
-                * self.width / self.length)
+    def _parameters(self, ctx) -> _Parameters:
+        return _parameters(self.model, ctx.temperature)
 
-    def _threshold(self, vbs, ctx):
-        """Threshold voltage including the body effect (complex-step safe)."""
+    def _threshold(self, vbs, prm: _Parameters):
+        """Threshold voltage including the body effect, and its slope
+        ``dvth/dvbs``.  Scalar or ``(A,)`` array ``vbs``."""
         m = self.model
-        vto = m.vto_at(ctx.temperature)
         if m.GAMMA == 0.0:
-            return vto
-        phi = m.PHI
+            return prm.vto, 0.0
+        phi, sqrt_phi = m.PHI, prm.sqrt_phi
+        # Forward-biased bulk (vbs > 0): the sqrt is linearised to keep
+        # things smooth.
         if isinstance(vbs, np.ndarray):
-            vbs_r = vbs.real
-            sqrt_phi = math.sqrt(phi)
-            reverse = (vbs_r <= 0.0)
+            reverse = vbs <= 0.0
             # Guard the masked-out lane: sqrt of a negative argument in
             # the forward-bias lanes would poison the whole batch.
-            reverse_term = _csqrt(np.where(reverse, phi - vbs, phi))
-            forward_term = sqrt_phi - 0.5 * vbs / sqrt_phi
-            body = np.where(reverse, reverse_term, forward_term) - sqrt_phi
-            return vto + m.GAMMA * body
-        vbs_r = vbs.real if isinstance(vbs, complex) else vbs
-        if vbs_r <= 0.0:
-            return vto + m.GAMMA * (_csqrt(phi - vbs) - math.sqrt(phi))
-        # Forward-biased bulk: linearise the sqrt to keep things smooth.
-        return vto + m.GAMMA * (math.sqrt(phi) - 0.5 * vbs / math.sqrt(phi)
-                                - math.sqrt(phi))
+            root = np.sqrt(np.where(reverse, phi - vbs, phi))
+            body = np.where(reverse, root,
+                            sqrt_phi - 0.5 * vbs / sqrt_phi) - sqrt_phi
+            return (prm.vto + m.GAMMA * body,
+                    np.where(reverse, -0.5 * m.GAMMA / root,
+                             -0.5 * m.GAMMA / sqrt_phi))
+        if vbs <= 0.0:
+            root = math.sqrt(phi - vbs)
+            return prm.vto + m.GAMMA * (root - sqrt_phi), -0.5 * m.GAMMA / root
+        return (prm.vto + m.GAMMA * (sqrt_phi - 0.5 * vbs / sqrt_phi - sqrt_phi),
+                -0.5 * m.GAMMA / sqrt_phi)
 
-    def _ids(self, vgs, vds, vbs, ctx):
-        """NMOS-referred drain-source current (vds >= 0 assumed by caller)."""
-        m = self.model
-        beta = self._beta(ctx)
-        vth = self._threshold(vbs, ctx)
+    def _ids(self, vgs, vds, vbs, prm: _Parameters):
+        """NMOS-referred drain-source current and its partials ``(ids,
+        gm, gds, gmb)`` with respect to (vgs, vds, vbs); ``vds >= 0`` is
+        assumed by the caller.  Scalars or ``(A,)`` arrays."""
+        lam = self.model.LAMBDA
+        beta = prm.kp * self.multiplier * self.width / self.length
+        vth, dvth = self._threshold(vbs, prm)
         vov = vgs - vth
-        vov_r = vov.real if isinstance(vov, (complex, np.ndarray)) else vov
-        vds_r = vds.real if isinstance(vds, (complex, np.ndarray)) else vds
-        if isinstance(vov_r, np.ndarray) or isinstance(vds_r, np.ndarray):
-            clm = 1.0 + m.LAMBDA * vds
-            triode = beta * clm * vds * (vov - 0.5 * vds)
-            saturation = 0.5 * beta * clm * vov * vov
-            ids = np.where(np.asarray(vds_r) < vov_r, triode, saturation)
-            return np.where(np.asarray(vov_r) <= 0.0, 0.0 * vgs, ids)
-        if vov_r <= 0.0:
-            return 0.0 * vgs
-        clm = 1.0 + m.LAMBDA * vds
-        if vds_r < vov_r:
-            return beta * clm * vds * (vov - 0.5 * vds)
-        return 0.5 * beta * clm * vov * vov
+        if isinstance(vov, np.ndarray) or isinstance(vds, np.ndarray):
+            clm = 1.0 + lam * vds
+            triode = vds < vov
+            off = vov <= 0.0
+            ids = np.where(triode, beta * clm * vds * (vov - 0.5 * vds),
+                           0.5 * beta * clm * vov * vov)
+            gm = np.where(triode, beta * clm * vds, beta * clm * vov)
+            gds = np.where(triode,
+                           beta * (lam * vds * (vov - 0.5 * vds)
+                                   + clm * (vov - vds)),
+                           0.5 * beta * lam * vov * vov)
+            gm = np.where(off, 0.0, gm)
+            return (np.where(off, 0.0, ids), gm, np.where(off, 0.0, gds),
+                    -gm * dvth)
+        if vov <= 0.0:
+            return 0.0, 0.0, 0.0, 0.0
+        clm = 1.0 + lam * vds
+        if vds < vov:
+            gm = beta * clm * vds
+            return (beta * clm * vds * (vov - 0.5 * vds), gm,
+                    beta * (lam * vds * (vov - 0.5 * vds) + clm * (vov - vds)),
+                    -gm * dvth)
+        gm = beta * clm * vov
+        return (0.5 * beta * clm * vov * vov, gm,
+                0.5 * beta * lam * vov * vov, -gm * dvth)
 
-    def _terminal_currents(self, vd, vg, vs, vb, ctx):
-        """Currents flowing out of (drain, gate, source, bulk) nodes into the
-        device, including gmin junction conductances."""
-        p = self.model.sign
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
-        vds_r = vds.real if isinstance(vds, (complex, np.ndarray)) else vds
-        if isinstance(vds_r, np.ndarray):
-            forward = self._ids(vgs, vds, vbs, ctx)
-            reverse = -self._ids(vgs - vds, -vds, vbs - vds, ctx)
-            ids = np.where(vds_r >= 0.0, forward, reverse)
-        elif vds_r >= 0.0:
-            ids = self._ids(vgs, vds, vbs, ctx)
-        else:
-            # Source and drain swap roles for negative vds.
-            vgd = vgs - vds
-            vbd = vbs - vds
-            ids = -self._ids(vgd, -vds, vbd, ctx)
-        g = ctx.gmin
-        i_db = g * (vd - vb)
-        i_sb = g * (vs - vb)
-        i_drain = p * ids + i_db
-        i_gate = 0.0 * vgs
-        i_source = -p * ids + i_sb
-        i_bulk = -(i_db + i_sb)
-        return i_drain, i_gate, i_source, i_bulk
+    def _channel(self, vgs, vds, vbs, prm: _Parameters):
+        """``(ids, dids/dvgs, dids/dvds, dids/dvbs)`` for either sign of
+        ``vds``: source and drain swap roles when ``vds < 0``."""
+        if isinstance(vds, np.ndarray):
+            forward = vds >= 0.0
+            ids, gm, gds, gmb = self._ids(
+                np.where(forward, vgs, vgs - vds), np.abs(vds),
+                np.where(forward, vbs, vbs - vds), prm)
+            return (np.where(forward, ids, -ids),
+                    np.where(forward, gm, -gm),
+                    np.where(forward, gds, gm + gds + gmb),
+                    np.where(forward, gmb, -gmb))
+        if vds >= 0.0:
+            return self._ids(vgs, vds, vbs, prm)
+        ids, gm, gds, gmb = self._ids(vgs - vds, -vds, vbs - vds, prm)
+        return -ids, -gm, gm + gds + gmb, -gmb
 
     # ------------------------------------------------------------------
     # Limiting
     # ------------------------------------------------------------------
-    def _limited_voltages(self, x, ctx):
+    def _limited_voltages(self, x, ctx, prm: _Parameters):
         p = self.model.sign
-        vd = x.voltage(self.drain)
-        vg = x.voltage(self.gate)
         vs = x.voltage(self.source)
-        vb = x.voltage(self.bulk)
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
+        vgs = p * (x.voltage(self.gate) - vs)
+        vds = p * (x.voltage(self.drain) - vs)
+        vbs = p * (x.voltage(self.bulk) - vs)
 
         state = self.device_state(ctx)
-        vto = self.model.vto_at(ctx.temperature)
-        vgs_old = state.get("vgs", vto + 0.5)
+        vgs_old = state.get("vgs", prm.vto + 0.5)
         vds_old = state.get("vds", 0.0)
-        vgs_lim = fetlim(vgs, vgs_old, vto)
+        vgs_lim = fetlim(vgs, vgs_old, prm.vto)
         # Limit vds step to 2 V per iteration to avoid wild excursions.
         dvds = vds - vds_old
         if isinstance(dvds, np.ndarray):
@@ -229,25 +235,31 @@ class MOSFET(NonlinearDevice):
     # Stamping
     # ------------------------------------------------------------------
     def stamp_nonlinear(self, stamper, x, ctx) -> None:
+        prm = self._parameters(ctx)
+        vgs, vds, vbs = self._limited_voltages(x, ctx, prm)
+        ids, g_gs, g_ds, g_bs = self._channel(vgs, vds, vbs, prm)
         p = self.model.sign
-        vgs, vds, vbs = self._limited_voltages(x, ctx)
-        # Reconstruct terminal voltages with the source as reference.
-        vs = 0.0
-        vg = vs + p * vgs
-        vd = vs + p * vds
-        vb = vs + p * vbs
+        g = ctx.gmin
+        # Terminal voltages with the source as the reference, consistent
+        # with the limited voltages: the companion linearisation point.
+        # Currents flow out of (drain, gate, source, bulk) into the device
+        # and include the gmin drain-bulk and source-bulk conductances.
+        vd = p * vds
+        vb = p * vbs
+        i_db = g * (vd - vb)
+        i_sb = -g * vb
+        g_sum = g_gs + g_ds + g_bs
+        self.stamp_companion(
+            stamper, (self.drain, self.gate, self.source, self.bulk),
+            (p * ids + i_db, 0.0, -p * ids + i_sb, -(i_db + i_sb)),
+            ((g_ds + g, g_gs, -g_sum, g_bs - g),
+             (0.0, 0.0, 0.0, 0.0),
+             (-g_ds, -g_gs, g_sum + g, -g_bs - g),
+             (-g, 0.0, -g, 2.0 * g)),
+            (vd, p * vgs, 0.0, vb))
 
-        def currents(vd_, vg_, vs_, vb_):
-            return self._terminal_currents(vd_, vg_, vs_, vb_, ctx)
-
-        volts = (vd, vg, vs, vb)
-        vals = currents(*volts)
-        nodes = (self.drain, self.gate, self.source, self.bulk)
-        jac = [cstep_gradient(lambda a, b, c, d, k=k: currents(a, b, c, d)[k], volts)
-               for k in range(4)]
-        self.stamp_companion(stamper, nodes, vals, jac, volts)
-
-    def _meyer_capacitances(self, vgs: float, vds: float, vbs: float, ctx):
+    def _meyer_capacitances(self, vgs: float, vds: float, vbs: float,
+                            prm: _Parameters):
         """Gate capacitances (cgs, cgd, cgb) from the Meyer model plus
         overlaps, evaluated at the operating point (NMOS-referred)."""
         m = self.model
@@ -256,8 +268,7 @@ class MOSFET(NonlinearDevice):
         c_ovl_gs = m.CGSO * w
         c_ovl_gd = m.CGDO * w
         c_ovl_gb = m.CGBO * length
-        vth = self._threshold(vbs, ctx)
-        vov = vgs - vth
+        vov = vgs - self._threshold(vbs, prm)[0]
         if vov <= 0.0:
             # Cutoff: channel charge sits on the bulk side.
             return c_ovl_gs, c_ovl_gd, cox + c_ovl_gb
@@ -272,20 +283,15 @@ class MOSFET(NonlinearDevice):
         return cgs, cgd, c_ovl_gb
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
-        p = self.model.sign
-        vd = x.voltage(self.drain)
-        vg = x.voltage(self.gate)
-        vs = x.voltage(self.source)
-        vb = x.voltage(self.bulk)
-        vgs = p * (vg - vs)
-        vds = p * (vd - vs)
-        vbs = p * (vb - vs)
-        if vds >= 0.0:
-            cgs, cgd, cgb = self._meyer_capacitances(vgs, vds, vbs, ctx)
-            d_node, s_node = self.drain, self.source
-        else:
-            cgd, cgs, cgb = self._meyer_capacitances(vgs - vds, -vds, vbs - vds, ctx)
+        vgs, vds, vbs, swapped = self._oriented_voltages(x)
+        first, second, cgb = self._meyer_capacitances(
+            vgs, vds, vbs, self._parameters(ctx))
+        if swapped:
+            cgd, cgs = first, second
             d_node, s_node = self.source, self.drain
+        else:
+            cgs, cgd = first, second
+            d_node, s_node = self.drain, self.source
         m = self.model
         stamper.capacitance_op(self.gate, s_node, cgs)
         stamper.capacitance_op(self.gate, d_node, cgd)
@@ -315,16 +321,21 @@ class MOSFET(NonlinearDevice):
     def conducting(self, x, ctx) -> bool:
         """Whether the channel is on (not in cutoff)."""
         vgs, _, vbs, _ = self._oriented_voltages(x)
-        return vgs - self._threshold(vbs, ctx) > 0
+        return vgs - self._threshold(vbs, self._parameters(ctx))[0] > 0
+
+    def currents(self, x, ctx) -> Dict[str, float]:
+        """Drain current (NMOS-referred, negative when swapped)."""
+        vgs, vds, vbs, swapped = self._oriented_voltages(x)
+        ids = self._ids(vgs, vds, vbs, self._parameters(ctx))[0]
+        return {"id": -ids if swapped else ids}
 
     def operating_point_info(self, x, ctx) -> Dict[str, float]:
         """Operating-point summary: region, id, gm, gds, gmb, vth, vov."""
+        prm = self._parameters(ctx)
         vgs, vds, vbs, swapped = self._oriented_voltages(x)
-        vth = self._threshold(vbs, ctx)
+        vth = self._threshold(vbs, prm)[0]
         vov = vgs - vth
-        ids = self._ids(vgs, vds, vbs, ctx)
-        grads = cstep_gradient(lambda a, b, c: self._ids(a, b, c, ctx), (vgs, vds, vbs))
-        gm, gds, gmb = grads[0], grads[1], grads[2]
+        ids, gm, gds, gmb = self._ids(vgs, vds, vbs, prm)
         if vov <= 0:
             region = "cutoff"
         elif vds < vov:

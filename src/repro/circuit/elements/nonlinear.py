@@ -1,26 +1,25 @@
 """Shared machinery for nonlinear devices (diode, BJT, MOSFET).
 
-Two pieces live here:
-
 * **Safe exponential and junction-voltage limiting.**  Newton-Raphson on
   exponential device equations diverges unless candidate junction voltages
   are limited between iterations (the classic SPICE ``pnjlim``) and the
   exponential itself is linearised above a threshold (``limexp``).
 
-* **Complex-step differentiation.**  Device Jacobians (conductances) and
-  incremental capacitances are obtained by evaluating the current/charge
-  equations with a tiny imaginary perturbation, which yields derivatives
-  that are exact to machine precision and keeps the device code free of
-  hand-derived (and easily wrong) derivative expressions.  The device
-  equations are written to accept complex arguments; any region selection
-  is done on the real part.
+* **Closed-form device evaluation.**  Each device evaluates its currents
+  together with their analytic partial derivatives (SPICE's device load:
+  Nagel, *SPICE2*, UCB/ERL M520, 1975) from temperature-dependent
+  parameters computed once per (model value, temperature).  The helpers
+  here take Python floats on the scalar Newton path and ``(A,)`` arrays
+  on the batched refill; array branches are ``np.where`` selections whose
+  masked-out lanes are guarded, so ``np.errstate(raise)`` never trips on
+  a lane that is discarded.  The tests check every derivative against
+  complex-step differentiation of the device equations.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -30,17 +29,13 @@ __all__ = [
     "limexp",
     "pnjlim",
     "fetlim",
-    "cstep_derivative",
-    "cstep_gradient",
+    "depletion_capacitance",
     "NonlinearDevice",
 ]
 
 #: Exponent above which ``exp`` is linearised to avoid overflow.
 _EXP_LIMIT = 80.0
 _EXP_AT_LIMIT = math.exp(_EXP_LIMIT)
-
-#: Step used for complex-step differentiation.
-_CSTEP = 1e-100
 
 #: A junction conducts (the devices' ``conducting`` method, the guard of
 #: the anchored bias point in :mod:`repro.analysis.op`) once its
@@ -52,24 +47,44 @@ CONDUCTION_THERMAL_VOLTAGES = 5.0
 
 
 def limexp(x):
-    """Exponential that grows linearly above ``x = 80`` (overflow-safe).
+    """Overflow-safe exponential and its derivative: ``(value, slope)``.
 
-    Works for real and complex arguments, scalar or ndarray (the batched
-    Newton path evaluates one device over all samples at once); the
-    region test uses the real part so the function stays compatible with
-    complex-step differentiation.
+    ``exp(x)`` up to ``x = 80``, then the first-order continuation
+    ``exp(80) * (1 + (x - 80))`` whose slope is ``exp(80)``.  Scalar or
+    ndarray ``x`` (the batched Newton path evaluates one device over all
+    samples at once).
     """
     if isinstance(x, np.ndarray):
-        low = x.real <= _EXP_LIMIT
+        low = x <= _EXP_LIMIT
         # Guard the masked-out lane before np.exp: np.where evaluates
         # both branches, and exp of an unguarded large argument overflows.
         safe = np.exp(np.where(low, x, 0.0))
-        return np.where(low, safe, _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT)))
-    xr = x.real if isinstance(x, complex) else x
-    if xr <= _EXP_LIMIT:
-        return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
-    # First-order continuation: exp(L) * (1 + (x - L))
-    return _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT))
+        return (np.where(low, safe, _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT))),
+                np.where(low, safe, _EXP_AT_LIMIT))
+    if x <= _EXP_LIMIT:
+        value = math.exp(x)
+        return value, value
+    return _EXP_AT_LIMIT * (1.0 + (x - _EXP_LIMIT)), _EXP_AT_LIMIT
+
+
+def depletion_capacitance(v, cj0: float, vj: float, mj: float, fc: float):
+    """Incremental depletion capacitance ``dQ/dV`` of a graded junction,
+    linearised above ``fc * vj`` as in SPICE.  Scalar or ndarray ``v``."""
+    if cj0 <= 0.0:
+        return 0.0
+    fcv = fc * vj
+    array = isinstance(v, np.ndarray)
+    if not array and v < fcv:
+        return cj0 * (1.0 - v / vj) ** (-mj)
+    above = cj0 / (1.0 - fc) ** (1.0 + mj) * (1.0 - fc * (1.0 + mj)
+                                              + mj / vj * v)
+    if not array:
+        return above
+    below = v < fcv
+    # Guard the linearised lanes: (1 - v/vj) may be negative there.
+    return np.where(below,
+                    cj0 * (1.0 - np.where(below, v, 0.0) / vj) ** (-mj),
+                    above)
 
 
 def pnjlim(vnew: float, vold: float, vt: float, vcrit: float) -> float:
@@ -167,35 +182,6 @@ def fetlim(vnew: float, vold: float, vto: float) -> float:
     return vnew
 
 
-def cstep_derivative(func: Callable, value: float) -> float:
-    """Derivative of a scalar function via complex-step differentiation.
-
-    ``value`` may be a per-sample ndarray; the perturbation is then
-    applied lane-wise and an ndarray of derivatives comes back.
-    """
-    if isinstance(value, np.ndarray):
-        return func(value + 1j * _CSTEP).imag / _CSTEP
-    return (func(complex(value, _CSTEP))).imag / _CSTEP
-
-
-def cstep_gradient(func: Callable, values: Sequence[float]) -> List[float]:
-    """Gradient of ``func(*values)`` (scalar-valued) via complex step.
-
-    Entries of ``values`` may independently be scalars or per-sample
-    ndarrays (mixed terminal voltages occur when one terminal is ground).
-    """
-    grad = []
-    vals = list(values)
-    for k, v in enumerate(vals):
-        perturbed = list(vals)
-        if isinstance(v, np.ndarray):
-            perturbed[k] = v + 1j * _CSTEP
-        else:
-            perturbed[k] = complex(v, _CSTEP)
-        grad.append(func(*perturbed).imag / _CSTEP)
-    return grad
-
-
 class NonlinearDevice(Element):
     """Base class for nonlinear devices.
 
@@ -211,11 +197,6 @@ class NonlinearDevice(Element):
     def device_state(self, ctx) -> Dict:
         """Per-solve mutable state (used for junction-voltage limiting)."""
         return ctx.device_state(self.name)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _terminal_voltages(x, nodes: Sequence[str]) -> List[float]:
-        return [x.voltage(n) for n in nodes]
 
     def stamp_companion(self, stamper, nodes: Sequence[str],
                         currents: Sequence[float],

@@ -102,8 +102,11 @@ class SolveStats:
         if registry is None:
             registry = global_registry() if namespace else MetricsRegistry()
         prefix = f"{namespace}." if namespace else "linalg."
+        # One lock for the whole set, so inc_many is one acquisition.
+        lock = threading.Lock()
+        object.__setattr__(self, "_lock", lock)
         object.__setattr__(self, "_counters",
-                           {f: registry.counter(prefix + f)
+                           {f: registry.counter(prefix + f, lock=lock)
                             for f in self.FIELDS})
 
     def __getattr__(self, name):
@@ -121,6 +124,14 @@ class SolveStats:
     def inc(self, name: str, amount: int = 1) -> None:
         """Atomic counter increment (preferred over ``stats.x += 1``)."""
         self._counters[name].inc(amount)
+
+    def inc_many(self, **amounts: int) -> None:
+        """Increment several counters atomically, under one acquisition
+        of their shared lock."""
+        counters = self._counters
+        with self._lock:
+            for name, amount in amounts.items():
+                counters[name].inc_held(amount)
 
     def reset(self) -> None:
         """Zero every counter (tests bracket a region of interest with this)."""
@@ -491,10 +502,9 @@ class LinearSystem:
             rhs = np.broadcast_to(rhs, (n_samples, len(rhs)))
         dtype = np.result_type(matrices, rhs)
         stats = type(self.backend).stats
-        stats.inc("batch_solves")
-        stats.inc("batched_systems", n_samples)
         failures: Dict[int, Exception] = {}
         if self.backend.name == "sparse":
+            stats.inc_many(batch_solves=1, batched_systems=n_samples)
             solutions = np.full((n_samples, self.size), np.nan, dtype=dtype)
             with _span("linalg.solve_batch", backend="sparse", n=self.size,
                        samples=n_samples):
@@ -510,8 +520,8 @@ class LinearSystem:
                 f"solve_batch on the dense backend needs an "
                 f"(N, {self.size}, {self.size}) matrix stack; got shape "
                 f"{matrices.shape}")
-        stats.inc("factorizations", n_samples)
-        stats.inc("solves", n_samples)
+        stats.inc_many(batch_solves=1, batched_systems=n_samples,
+                       factorizations=n_samples, solves=n_samples)
         batch_span = _span("linalg.solve_batch", backend="dense",
                            n=self.size, samples=n_samples)
         try:

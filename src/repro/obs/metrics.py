@@ -74,6 +74,11 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def inc_held(self, amount: int) -> None:
+        """Increment while the caller holds this counter's lock (counters
+        created with one shared lock then update under one acquisition)."""
+        self._value += amount
+
     @property
     def value(self) -> int:
         return self._value
@@ -225,20 +230,29 @@ class MetricsRegistry:
         self._metrics: Dict[str, object] = {}
 
     # -- creation ------------------------------------------------------
-    def _get_or_create(self, cls, name: str, **kwargs):
+    def _get_or_create(self, cls, name: str, lock=None, **kwargs):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, threading.Lock(), **kwargs)
+                metric = cls(name, lock or threading.Lock(), **kwargs)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise ValueError(f"metric {name!r} already registered as a "
                                  f"{metric.kind}, not a {cls.kind}")
+            elif lock is not None and metric._lock is not lock:
+                raise ValueError(f"metric {name!r} already registered under "
+                                 "another lock")
             return metric
 
-    def counter(self, name: str) -> Counter:
-        """The counter registered under ``name`` (created on first use)."""
-        return self._get_or_create(Counter, name)
+    def counter(self, name: str,
+                lock: Optional[threading.Lock] = None) -> Counter:
+        """The counter registered under ``name`` (created on first use).
+
+        ``lock``, when given, guards the counter: counters created with
+        one shared lock can be updated together under one acquisition
+        (:meth:`Counter.inc_held`).
+        """
+        return self._get_or_create(Counter, name, lock=lock)
 
     def gauge(self, name: str) -> Gauge:
         """The gauge registered under ``name`` (created on first use)."""

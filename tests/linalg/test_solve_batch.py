@@ -133,3 +133,58 @@ def test_dense_batch_rejects_wrong_shapes(batch):
     system = LinearSystem(stack[0], backend="dense")
     with pytest.raises(AnalysisError, match="matrix stack"):
         system.solve_batch(batch.g_values, batch.b_dc)
+
+
+def _hammer(work, threads=6):
+    """Run ``work`` on several threads at once with a short switch
+    interval, so an unlocked read-modify-write would lose updates."""
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    return threads
+
+
+def test_solve_stats_inc_many_is_exact_under_threads():
+    from repro.linalg.backends import SolveStats
+
+    stats = SolveStats()
+    rounds = 2000
+
+    def work():
+        for _ in range(rounds):
+            stats.inc_many(batch_solves=1, batched_systems=3, solves=2)
+            stats.inc("solves")
+
+    threads = _hammer(work)
+    assert stats.batch_solves == threads * rounds
+    assert stats.batched_systems == 3 * threads * rounds
+    assert stats.solves == 3 * threads * rounds
+
+
+def test_solve_batch_counts_stay_exact_under_threads(batch):
+    stack = batch.G_dense_batch()
+    rhs = np.real(batch.b_dc)
+    before = DenseBackend.stats.as_dict()
+    rounds = 200
+
+    def work():
+        system = LinearSystem(stack[0], backend="dense")
+        for _ in range(rounds):
+            system.solve_batch(stack, rhs)
+
+    calls = _hammer(work) * rounds
+    after = DenseBackend.stats.as_dict()
+    assert after["batch_solves"] - before["batch_solves"] == calls
+    for field in ("batched_systems", "factorizations", "solves"):
+        assert after[field] - before[field] == calls * len(batch)

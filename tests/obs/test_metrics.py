@@ -43,6 +43,22 @@ class TestCounter:
         with pytest.raises(ValueError):
             registry.gauge("n")
 
+    def test_shared_lock_group(self):
+        registry = MetricsRegistry()
+        lock = threading.Lock()
+        a = registry.counter("a", lock=lock)
+        b = registry.counter("b", lock=lock)
+        with lock:
+            a.inc_held(2)
+            b.inc_held(3)
+        assert (a.value, b.value) == (2, 3)
+        # The same lock (or none) finds the counter; another lock cannot
+        # claim to guard it.
+        assert registry.counter("a", lock=lock) is a
+        assert registry.counter("a") is a
+        with pytest.raises(ValueError, match="another lock"):
+            registry.counter("a", lock=threading.Lock())
+
 
 class TestGauge:
     def test_set_and_add(self):

@@ -113,6 +113,32 @@ class TestAllNodesFastpath:
             assert_stability_responses_equivalent(
                 execute_request(request), response, tol=NONLINEAR_TOL)
 
+    def test_monte_carlo_buffer_screen_matches_per_request(self):
+        # The 64-sample screen that benchmarks/bench_stability_batch.py
+        # times: input common mode and load scatter at one temperature,
+        # so the batched Newton refill runs vectorized.  Both paths solve
+        # under STABILITY_NEWTON and land on one fixpoint, so the
+        # verdicts agree to the linear gate, not just NONLINEAR_TOL.
+        # Dense, as the benchmark's auto backend resolves at this size
+        # (the per-request sparse sweeps would take ~30 s here).
+        import math
+
+        circuit = circuits.opamp_buffer().circuit
+        requests = [
+            AnalysisRequest(mode="all-nodes", circuit=circuit,
+                            variables={"vcm": 2.45 + 0.10 * k / 63,
+                                       "cload": 1e-9 * (1.0 + 0.10
+                                                        * math.cos(0.9 * k))},
+                            backend="dense", label=f"s{k}")
+            for k in range(64)]
+        batched = execute_linear_batch(requests)
+        assert batched is not None, "stability group fell off the fast path"
+        for request, response in zip(requests, batched):
+            assert response.status == "done", (response.error,
+                                               response.traceback)
+            assert_stability_responses_equivalent(
+                execute_request(request), response, tol=TOL)
+
     def test_backends_group_separately_and_agree(self, engine):
         circuit = _variable_divider()
         requests = [AnalysisRequest(mode="all-nodes", circuit=circuit,
