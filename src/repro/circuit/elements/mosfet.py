@@ -259,14 +259,19 @@ class MOSFET(NonlinearDevice):
             (vd, p * vgs, 0.0, vb))
 
     def _meyer_capacitances(self, vgs: float, vds: float, vbs: float,
-                            prm: _Parameters):
+                            prm: _Parameters, swapped: bool = False):
         """Gate capacitances (cgs, cgd, cgb) from the Meyer model plus
-        overlaps, evaluated at the operating point (NMOS-referred)."""
+        overlaps, evaluated at the operating point (NMOS-referred).
+
+        ``cgs``/``cgd`` are oriented like the voltages: when ``swapped``
+        the oriented source is the physical drain, and it carries the
+        drain's overlap capacitance."""
         m = self.model
         w, length = self.width * self.multiplier, self.length
         cox = m.COX * w * length
-        c_ovl_gs = m.CGSO * w
-        c_ovl_gd = m.CGDO * w
+        c_ovl_gs, c_ovl_gd = m.CGSO * w, m.CGDO * w
+        if swapped:
+            c_ovl_gs, c_ovl_gd = c_ovl_gd, c_ovl_gs
         c_ovl_gb = m.CGBO * length
         vov = vgs - self._threshold(vbs, prm)[0]
         if vov <= 0.0:
@@ -284,14 +289,12 @@ class MOSFET(NonlinearDevice):
 
     def stamp_dynamic_nonlinear(self, stamper, x, ctx) -> None:
         vgs, vds, vbs, swapped = self._oriented_voltages(x)
-        first, second, cgb = self._meyer_capacitances(
-            vgs, vds, vbs, self._parameters(ctx))
-        if swapped:
-            cgd, cgs = first, second
-            d_node, s_node = self.source, self.drain
-        else:
-            cgs, cgd = first, second
-            d_node, s_node = self.drain, self.source
+        cgs, cgd, cgb = self._meyer_capacitances(
+            vgs, vds, vbs, self._parameters(ctx), swapped)
+        # The oriented source is the physical drain when swapped: swap the
+        # nodes once, not the capacitances as well.
+        s_node, d_node = ((self.drain, self.source) if swapped
+                          else (self.source, self.drain))
         m = self.model
         stamper.capacitance_op(self.gate, s_node, cgs)
         stamper.capacitance_op(self.gate, d_node, cgd)

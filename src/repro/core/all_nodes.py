@@ -109,15 +109,18 @@ class AllNodesResult:
     # ------------------------------------------------------------------
     # Serialization (JSON round-trip for the result cache)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Complete JSON-able representation.
+    def to_dict(self, plots: bool = True) -> dict:
+        """JSON-able representation, complete by default.
 
         The operating point (shared by every per-node result) is stored
         once; loops are stored as lists of member node names.
+        ``plots=False`` leaves every node's plot arrays out (see
+        :meth:`NodeStabilityResult.to_dict`).
         """
         return {
             "circuit_title": self.circuit_title,
-            "results": [r.to_dict(include_op=False) for r in self.results],
+            "results": [r.to_dict(include_op=False, plots=plots)
+                        for r in self.results],
             "loops": [loop.to_dict() for loop in self.loops],
             "skipped_nodes": list(self.skipped_nodes),
             "failed_nodes": dict(self.failed_nodes),

@@ -87,10 +87,12 @@ class NodeStabilityResult:
     """Outcome of the stability analysis of a single node."""
 
     node: str
-    #: The stability plot over the full (coarse) sweep.
-    plot: Waveform
-    #: The node's AC response magnitude (driving-point impedance magnitude).
-    response: Waveform
+    #: The stability plot over the full (coarse) sweep (None when rebuilt
+    #: from a compact payload).
+    plot: Optional[Waveform]
+    #: The node's AC response magnitude (driving-point impedance
+    #: magnitude; None when rebuilt from a compact payload).
+    response: Optional[Waveform]
     #: All detected peaks (poles, zeros, special cases).
     peaks: List[StabilityPeak]
     #: The dominant negative peak (None when the node shows no complex pole).
@@ -126,16 +128,16 @@ class NodeStabilityResult:
     # ------------------------------------------------------------------
     # Serialization (JSON round-trip for the result cache)
     # ------------------------------------------------------------------
-    def to_dict(self, include_op: bool = True) -> dict:
-        """JSON-able representation of the full per-node result.
+    def to_dict(self, include_op: bool = True, plots: bool = True) -> dict:
+        """JSON-able representation of the per-node result.
 
         The all-nodes container passes ``include_op=False`` and stores the
-        (shared) operating point once at its own level.
+        (shared) operating point once at its own level.  ``plots=False``
+        leaves out the ``plot``, ``response`` and ``refined_plot`` arrays
+        (the compact, verdict-sized form); the default is lossless.
         """
-        return {
+        data = {
             "node": self.node,
-            "plot": self.plot.to_dict(),
-            "response": self.response.to_dict(),
             "peaks": [peak.to_dict() for peak in self.peaks],
             "dominant_peak": (self.dominant_peak.to_dict()
                               if self.dominant_peak is not None else None),
@@ -145,21 +147,29 @@ class NodeStabilityResult:
             "phase_margin_deg": self.phase_margin_deg,
             "overshoot_percent": self.overshoot_percent,
             "peak_type": self.peak_type.value if self.peak_type is not None else None,
-            "refined_plot": (self.refined_plot.to_dict()
-                             if self.refined_plot is not None else None),
             "op": (self.op.to_dict()
                    if include_op and self.op is not None else None),
         }
+        if plots:
+            data["plot"] = self.plot.to_dict()
+            data["response"] = self.response.to_dict()
+            data["refined_plot"] = (self.refined_plot.to_dict()
+                                    if self.refined_plot is not None else None)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict, op: Optional[OPResult] = None) -> "NodeStabilityResult":
-        """Inverse of :meth:`to_dict`; ``op`` re-attaches a shared OP."""
+        """Inverse of :meth:`to_dict`; ``op`` re-attaches a shared OP.
+
+        A compact payload (no plot arrays) rebuilds ``plot``,
+        ``response`` and ``refined_plot`` as ``None``.
+        """
         if op is None and data.get("op") is not None:
             op = OPResult.from_dict(data["op"])
         return cls(
             node=data["node"],
-            plot=Waveform.from_dict(data["plot"]),
-            response=Waveform.from_dict(data["response"]),
+            plot=_waveform_or_none(data.get("plot")),
+            response=_waveform_or_none(data.get("response")),
             peaks=[StabilityPeak.from_dict(peak) for peak in data["peaks"]],
             dominant_peak=(StabilityPeak.from_dict(data["dominant_peak"])
                            if data.get("dominant_peak") is not None else None),
@@ -170,8 +180,7 @@ class NodeStabilityResult:
             overshoot_percent=data.get("overshoot_percent"),
             peak_type=(PeakType(data["peak_type"])
                        if data.get("peak_type") is not None else None),
-            refined_plot=(Waveform.from_dict(data["refined_plot"])
-                          if data.get("refined_plot") is not None else None),
+            refined_plot=_waveform_or_none(data.get("refined_plot")),
             op=op,
         )
 
@@ -185,6 +194,10 @@ class NodeStabilityResult:
                 f"{format_si(self.natural_frequency_hz, 'Hz')} -> zeta={self.damping_ratio:.3f}, "
                 f"phase margin ~{self.phase_margin_deg:.1f} deg, "
                 f"overshoot ~{self.overshoot_percent:.0f}% [{self.peak_type}]")
+
+
+def _waveform_or_none(data: Optional[dict]) -> Optional[Waveform]:
+    return Waveform.from_dict(data) if data is not None else None
 
 
 def build_node_result(node: str, response: Waveform,

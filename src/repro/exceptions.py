@@ -107,6 +107,19 @@ class ConvergenceError(AnalysisError):
                    history=details.get("history"))
 
 
+class NonFiniteResultError(AnalysisError):
+    """A finished result holds a NaN or an infinity, which strict JSON
+    cannot carry; ``path`` names the first such value (``/results/3/...``)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        super().__init__(f"result is not finite at {path}: a NaN or "
+                         "infinity cannot be sent as strict JSON")
+
+    def to_details(self) -> dict:
+        return {"type": "NonFiniteResultError", "path": self.path}
+
+
 class SweepError(AnalysisError):
     """A frequency/time/parameter sweep specification is invalid."""
 

@@ -43,13 +43,14 @@ CLI)::
             ab/                          # first two hex chars of the key
                 ab3f...e1.json           # full 64-char SHA-256 fingerprint
 
-Each object is the JSON form of an :class:`AnalysisResponse` — status,
-serialized result payload, formatted report and timing.  Keys are request
-fingerprints; the files are written atomically (temp file + rename) so a
-crashed run never leaves a truncated entry, and corrupt entries read back
-as cache misses.  Only successful analyses are stored.  The in-memory
-tier is a bounded LRU over the same payloads; evicted entries remain on
-disk and are promoted back on their next hit.
+Each object is the strict-JSON form of an :class:`AnalysisResponse` —
+status, serialized result payload (verdict-sized for the stability modes
+unless the request asks for ``detail="plots"``), formatted report and
+timing.  Keys are request fingerprints; the files are written atomically
+(temp file + rename) so a crashed run never leaves a truncated entry, and
+corrupt entries read back as cache misses.  Only successful analyses are
+stored.  The in-memory tier is a bounded LRU over the same payloads;
+evicted entries remain on disk and are promoted back on their next hit.
 """
 
 from repro.service.cache import CacheStats, ResultCache

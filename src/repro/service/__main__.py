@@ -277,7 +277,7 @@ def _run_analyze(args, service: StabilityService) -> int:
     failures = 0
     for response in responses:
         if args.json:
-            print(json.dumps(response.to_dict()))
+            print(response.to_json())
             continue
         origin = ("served from cache" if response.cached
                   else f"computed in {response.elapsed_seconds:.2f}s")

@@ -173,15 +173,17 @@ class ResultCache:
         instead of encoding the payload a second time.
         """
         _add_event("cache.store", disk=self.directory is not None)
+        if self.directory is not None and text is None:
+            # One C-accelerated ``dumps`` and one write: ``json.dump``
+            # to a handle takes the pure-Python encoder, twice as slow.
+            # Strict JSON: a non-finite payload raises ``ValueError``
+            # before either tier holds it.
+            text = json.dumps(payload, allow_nan=False)
         with self._lock:
             self._remember(key, payload)
             self.stats.inc("stores")
         if self.directory is None:
             return
-        if text is None:
-            # One C-accelerated ``dumps`` and one write: ``json.dump``
-            # to a handle takes the pure-Python encoder, twice as slow.
-            text = json.dumps(payload)
         # Temp file + ``os.replace`` is atomic, so the write needs no lock.
         path = self._object_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -99,11 +99,15 @@ from repro.obs.trace import (
 )
 from repro.service import shm as shm_transport
 from repro.service.pool import TASK_CHUNK, TASK_SOLVE, WorkerPool
-from repro.service.requests import AnalysisRequest, AnalysisResponse
+from repro.service.requests import (
+    STABILITY_MODES,
+    AnalysisRequest,
+    AnalysisResponse,
+)
 
 __all__ = ["BatchEngine", "execute_linear_batch", "execute_request",
            "execute_request_chunk", "execute_solve_task",
-           "set_compiled_cache_size"]
+           "set_compiled_cache_size", "stability_payload"]
 
 #: Progress callback: ``f(completed_count, total_count, response)``.
 ProgressCallback = Callable[[int, int, AnalysisResponse], None]
@@ -155,10 +159,6 @@ _STABILITY_SAMPLES = global_registry().counter("engine.stability_batch.samples")
 _STABILITY_DEMOTIONS = global_registry().counter(
     "engine.stability_batch.demotions")
 
-#: Modes served by the batched stability pipeline (the paper's headline
-#: per-node screening product).
-_STABILITY_MODES = ("all-nodes", "single-node")
-
 
 def set_compiled_cache_size(size: int) -> None:
     """Resize this process's compiled-structure LRU (evicting oldest).
@@ -175,6 +175,17 @@ def set_compiled_cache_size(size: int) -> None:
         while len(_COMPILED_CACHE) > size:
             _COMPILED_CACHE.popitem(last=False)
             _CACHE_EVICTIONS.inc()
+
+
+def stability_payload(result, detail: str) -> dict:
+    """Wire payload of an ``all-nodes``/``single-node`` result.
+
+    Peaks, verdicts, loops and the operating point always; every node's
+    ``plot``, ``response`` and ``refined_plot`` arrays only for
+    ``detail="plots"`` (they are about 95 % of a full payload).  The
+    typed result is the same either way, so every verdict number is too.
+    """
+    return result.to_dict(plots=detail == "plots")
 
 
 def _safe_fingerprint(request: AnalysisRequest) -> str:
@@ -304,7 +315,9 @@ def _solve_stability_rows(descriptor: dict, compiled: CompiledCircuit,
             payloads.append(None)
             continue
         try:
-            payloads.append([result.to_dict(), formatter(result)])
+            payloads.append([stability_payload(result,
+                                               descriptor["details"][row]),
+                             formatter(result)])
         except Exception:
             failed.add(row + start)
             payloads.append(None)
@@ -352,7 +365,7 @@ def execute_solve_task(descriptor: dict) -> dict:
                                             failures=failures)
         backend = descriptor.get("backend")
         x, solve_failures = solve_linear_dc_batch(batch, backend=backend)
-        if descriptor["mode"] in _STABILITY_MODES:
+        if descriptor["mode"] in STABILITY_MODES:
             return _solve_stability_rows(descriptor, compiled, batch, x,
                                          solve_failures, start, stop)
         output.arrays["x"][start:stop] = x
@@ -439,13 +452,13 @@ def _execute_request_inner(request: AnalysisRequest) -> AnalysisResponse:
             options = request.analysis_options()
             result = analyze_node(circuit, request.node, options=options,
                                   compiled=compiled)
-            payload = result.to_dict()
+            payload = stability_payload(result, request.detail)
             report = format_single_node_report(result)
         else:
             options = request.analysis_options()
             result = analyze_all_nodes(circuit, options=options,
                                        compiled=compiled)
-            payload = result.to_dict()
+            payload = stability_payload(result, request.detail)
             report = format_all_nodes_report(result)
         return AnalysisResponse(
             fingerprint=fingerprint, mode=request.mode, status="done",
@@ -536,7 +549,7 @@ def execute_linear_batch(requests: Sequence[AnalysisRequest],
     """
     started = time.time()
     first = requests[0]
-    stability = first.mode in _STABILITY_MODES
+    stability = first.mode in STABILITY_MODES
     stability_results = None
     try:
         compiled = _compiled_for(first, cache_size=cache_size)
@@ -620,7 +633,7 @@ def execute_linear_batch(requests: Sequence[AnalysisRequest],
         try:
             if stability:
                 result = stability_results[index]
-                payload = result.to_dict()
+                payload = stability_payload(result, request.detail)
                 report = format_all_nodes_report(result) \
                     if request.mode == "all-nodes" \
                     else format_single_node_report(result)
@@ -665,11 +678,11 @@ class _ShmGroupPlan:
 
     __slots__ = ("indices", "mode", "backend", "fingerprint", "structure",
                  "names", "frequencies", "failures", "planes", "output",
-                 "ranges", "outcomes", "started", "node", "sweep")
+                 "ranges", "outcomes", "started", "node", "sweep", "details")
 
     def __init__(self, indices, mode, backend, fingerprint, structure,
                  names, frequencies, failures, planes, output, ranges,
-                 node=None, sweep=None):
+                 node=None, sweep=None, details=None):
         self.indices = indices
         self.mode = mode
         self.backend = backend
@@ -683,6 +696,7 @@ class _ShmGroupPlan:
         self.ranges = ranges
         self.node = node
         self.sweep = sweep
+        self.details = details
         self.outcomes: List[Optional[object]] = [None] * len(ranges)
         self.started = time.time()
 
@@ -702,6 +716,7 @@ class _ShmGroupPlan:
             descriptor["frequencies"] = [float(f) for f in self.frequencies]
         if self.sweep is not None:
             descriptor["sweep"] = list(self.sweep)
+            descriptor["details"] = self.details[start:stop]
         if self.node is not None:
             descriptor["node"] = self.node
         return descriptor
@@ -898,11 +913,12 @@ class BatchEngine:
         mode; the key pins everything a batch must share — circuit
         structure, mode, effective solver backend, the frequency sweep
         for every frequency-domain mode, and the probe node for
-        ``single-node``.  Linearity is a property of the compiled
-        circuit and is checked once per group by
+        ``single-node``.  The payload ``detail`` is not in it: it changes
+        only how each row's result is serialized.  Linearity is a
+        property of the compiled circuit and is checked once per group by
         :func:`execute_linear_batch`.
         """
-        if request.mode not in ("op", "ac") + _STABILITY_MODES:
+        if request.mode not in ("op", "ac") + STABILITY_MODES:
             return None
         try:
             backend = request.effective_backend()
@@ -1069,7 +1085,7 @@ class BatchEngine:
         compiled = _compiled_for(first, cache_size=self.compiled_cache_size)
         if compiled is None or not compiled.is_linear:
             return None
-        stability = first.mode in _STABILITY_MODES
+        stability = first.mode in STABILITY_MODES
         try:
             fingerprint = first.structure_fingerprint()
             payload = pickle.dumps(first.resolved_circuit(),
@@ -1109,7 +1125,9 @@ class BatchEngine:
             failures=dict(batch.failures), planes=planes, output=output,
             ranges=ranges,
             node=first.node if first.mode == "single-node" else None,
-            sweep=sweep)
+            sweep=sweep,
+            details=([requests[i].detail for i in group] if stability
+                     else None))
 
     def _finish_chunk_task(self, requests: Sequence[AnalysisRequest],
                            chunk: Sequence[int], outcome, emit,
@@ -1150,7 +1168,7 @@ class BatchEngine:
         """
         total = len(plan.indices)
         elapsed = (time.time() - plan.started) / max(total, 1)
-        stability = plan.mode in _STABILITY_MODES
+        stability = plan.mode in STABILITY_MODES
         row_payloads: List[Optional[list]] = [None] * total
         # None = solve locally; "" = use the block; str = lost (message).
         triage: List[Optional[str]] = [""] * total

@@ -20,9 +20,13 @@ Endpoints
     distributions, optional ``temperature``/``gmin`` distributions) that
     the gateway expands into a Monte Carlo screen server-side.  An
     optional top-level ``"priority"`` ("high"/"normal"/"low") picks the
-    queue class.  Past the admission watermark the gateway answers
-    ``429`` with a ``Retry-After`` header instead of queueing — bounded
-    queues are the backpressure contract.
+    queue class.  ``all-nodes``/``single-node`` results are verdict-sized
+    (peaks, verdicts, loops, operating point); a request field
+    ``"detail": "plots"`` (on the base request of a scenario body, or on
+    each entry of a batch) adds every node's plot arrays.  Past the
+    admission watermark the gateway answers ``429`` with a
+    ``Retry-After`` header instead of queueing — bounded queues are the
+    backpressure contract.
 ``GET /jobs`` / ``GET /jobs/<id>``
     Poll.  Terminal jobs embed their per-request results (JSON via the
     round-trippable ``AnalysisResponse``); live jobs report counts

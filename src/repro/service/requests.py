@@ -12,7 +12,8 @@ analysis mode on this circuit under these conditions" — in a form that is
   Circuit-backed requests).
 
 An :class:`AnalysisResponse` carries the outcome: the serialized result
-payload (see ``AllNodesResult.to_dict``), the formatted text report,
+payload (see ``AllNodesResult.to_dict``; the stability modes leave the
+plot arrays out unless ``detail="plots"``), the formatted text report,
 failure details (message + full traceback) and timing, plus a ``cached``
 flag set by the service when the response was served from the result
 cache instead of being recomputed.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import weakref
@@ -35,21 +37,37 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.parser import parse_netlist
 from repro.core.all_nodes import AllNodesOptions, AllNodesResult
 from repro.core.single_node import NodeStabilityResult, SingleNodeOptions
-from repro.exceptions import ToolError
+from repro.exceptions import NonFiniteResultError, ToolError
 from repro.linalg import BACKEND_ENV_VAR, available_backends
+from repro.obs.metrics import global_registry
+from repro.obs.trace import span as _span
 
-__all__ = ["AnalysisRequest", "AnalysisResponse", "expand_corners",
-           "REQUEST_SCHEMA_VERSION"]
+__all__ = ["AnalysisRequest", "AnalysisResponse", "STABILITY_MODES",
+           "expand_corners", "REQUEST_SCHEMA_VERSION"]
 
 #: Bumping this invalidates every existing cache entry (fingerprints change).
 #: v2: the linear-solver backend joined the fingerprint.
 #: v3: the "dc-sweep" mode and its sweep-definition fields joined the schema.
 #: v4: the bare "op" and "ac" modes joined the schema (the batchable
 #:     building blocks the engine's in-process fast path groups on).
-REQUEST_SCHEMA_VERSION = 4
+#: v5: the payload ``detail`` joined the fingerprint; stability results
+#:     are compact (no plot arrays) unless ``detail="plots"``.
+REQUEST_SCHEMA_VERSION = 5
 
 _MODES = ("all-nodes", "single-node", "dc-sweep", "op", "ac")
+#: Payload detail of stability results: "verdict" (peaks, verdicts,
+#: loops, operating point) or "plots" (additionally every node's stability
+#: plot, response and refined plot arrays).
+_DETAILS = ("verdict", "plots")
+#: Modes whose payload is a stability verdict (the paper's per-node
+#: screening product, served by the batched stability pipeline).
+STABILITY_MODES = ("all-nodes", "single-node")
 _SOLVER_BACKENDS = (None, "auto") + available_backends()
+
+#: Bytes of every response encoding (``AnalysisResponse.to_json``): one
+#: locked increment per encoding.
+_RESPONSE_BYTES = global_registry().counter("service.response_bytes")
+_NON_FINITE_RESULTS = global_registry().counter("service.non_finite_results")
 
 #: Circuit object -> structure fingerprint.  Requests of one batch share
 #: the circuit object (scenario generation and chunked pool submission
@@ -90,6 +108,9 @@ class AnalysisRequest:
     dc_stop: float = 1.0
     dc_points: int = 51
     dc_values: Optional[List[float]] = None
+    #: Payload detail of ``all-nodes``/``single-node`` results: "verdict"
+    #: or "plots".  Part of their fingerprint: the two payloads differ.
+    detail: str = "verdict"
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -99,6 +120,9 @@ class AnalysisRequest:
         if self.backend not in _SOLVER_BACKENDS:
             raise ToolError(f"unknown solver backend {self.backend!r}; "
                             f"expected one of {_SOLVER_BACKENDS}")
+        if self.detail not in _DETAILS:
+            raise ToolError(f"unknown payload detail {self.detail!r}; "
+                            f"expected one of {_DETAILS}")
         if self.netlist is None and self.circuit is None:
             raise ToolError("request needs either netlist text or a Circuit")
         if self.mode == "single-node" and not self.node:
@@ -243,6 +267,10 @@ class AnalysisRequest:
             # of the (irrelevant) sweep settings they were built with.
             "sweep": None if self.mode == "op" else self.sweep().canonical_data(),
             "backend": self.effective_backend(),
+            # Only stability payloads depend on it: op, ac and dc-sweep
+            # requests share entries whatever detail they were built with.
+            "detail": (self.detail if self.mode in STABILITY_MODES
+                       else None),
         }
         if self.mode == "dc-sweep":
             extra["dc_sweep"] = {
@@ -281,6 +309,7 @@ class AnalysisRequest:
             "dc_points": self.dc_points,
             "dc_values": (list(self.dc_values)
                           if self.dc_values is not None else None),
+            "detail": self.detail,
             "label": self.label,
         }
 
@@ -304,6 +333,7 @@ class AnalysisRequest:
             dc_stop=float(data.get("dc_stop", 1.0)),
             dc_points=int(data.get("dc_points", 51)),
             dc_values=data.get("dc_values"),
+            detail=data.get("detail", "verdict"),
             label=data.get("label"),
         )
 
@@ -344,13 +374,15 @@ class AnalysisResponse:
 
     # ------------------------------------------------------------------
     def all_nodes_result(self) -> AllNodesResult:
-        """Rehydrate the full :class:`AllNodesResult` from the payload."""
+        """Rehydrate the :class:`AllNodesResult` from the payload (each
+        node's plots are ``None`` unless it was sent with ``detail="plots"``)."""
         if not self.ok or self.result is None or self.mode != "all-nodes":
             raise ToolError("response carries no all-nodes result")
         return AllNodesResult.from_dict(self.result)
 
     def node_result(self) -> NodeStabilityResult:
-        """Rehydrate the :class:`NodeStabilityResult` from the payload."""
+        """Rehydrate the :class:`NodeStabilityResult` from the payload
+        (plots ``None`` unless it was sent with ``detail="plots"``)."""
         if not self.ok or self.result is None or self.mode != "single-node":
             raise ToolError("response carries no single-node result")
         return NodeStabilityResult.from_dict(self.result)
@@ -407,14 +439,43 @@ class AnalysisResponse:
         """``json.dumps(self.to_dict(), sort_keys=True)``, encoded once.
 
         The service's disk cache and the gateway's stream share this one
-        encoding of a result (an all-nodes verdict is about 200 KB of
-        JSON).  The memo assumes the response is not mutated after the
-        first call; :meth:`release_json` drops it.
+        encoding of a result.  The encoding is strict JSON: a ``done``
+        result holding a NaN or an infinity turns this response into a
+        ``failed`` one carrying a :class:`NonFiniteResultError` that names
+        the first such value, and that failure is what gets encoded.  The
+        memo assumes the response is not mutated after the first call;
+        :meth:`release_json` drops it.
         """
         text = self._json
         if text is None:
-            text = self._json = json.dumps(self.to_dict(), sort_keys=True)
+            with _span("service.encode", mode=self.mode) as encode_span:
+                try:
+                    text = json.dumps(self.to_dict(), sort_keys=True,
+                                      allow_nan=False)
+                except ValueError:
+                    if not self._fail_non_finite():
+                        raise
+                    text = json.dumps(self.to_dict(), sort_keys=True,
+                                      allow_nan=False)
+                encode_span.set(bytes=len(text))
+            _RESPONSE_BYTES.inc(len(text))
+            self._json = text
         return text
+
+    def _fail_non_finite(self) -> bool:
+        """Replace a result strict JSON cannot carry by a typed failure;
+        False when the offending value is not in the result."""
+        path = first_non_finite(self.result, "/result")
+        if path is None:
+            return False
+        error = NonFiniteResultError(path)
+        _NON_FINITE_RESULTS.inc()
+        self.status = "failed"
+        self.result = None
+        self.report = None
+        self.error = str(error)
+        self.error_details = error.to_details()
+        return True
 
     def release_json(self) -> None:
         """Drop the memoized encoding once its last reader has used it,
@@ -438,6 +499,31 @@ class AnalysisResponse:
             created=float(data.get("created", 0.0)),
             telemetry=data.get("telemetry"),
         )
+
+
+def first_non_finite(payload, path: str = "") -> Optional[str]:
+    """Path of the first NaN or infinity in a JSON-able payload
+    (``"/results/3/damping_ratio"``), or ``None`` when it is finite."""
+    if isinstance(payload, float):
+        return None if math.isfinite(payload) else (path or "/")
+    if isinstance(payload, dict):
+        items = payload.items()
+    elif isinstance(payload, (list, tuple)):
+        try:
+            # Numeric lists (the bulk of a payload) in one C-level pass: a
+            # NaN or an infinity makes the sum non-finite.
+            if math.isfinite(sum(payload)):
+                return None
+        except TypeError:
+            pass
+        items = enumerate(payload)
+    else:
+        return None
+    for key, value in items:
+        found = first_non_finite(value, f"{path}/{key}")
+        if found is not None:
+            return found
+    return None
 
 
 def expand_corners(request: AnalysisRequest, corners: Sequence) -> List[AnalysisRequest]:
@@ -468,6 +554,7 @@ def expand_corners(request: AnalysisRequest, corners: Sequence) -> List[Analysis
             dc_stop=request.dc_stop,
             dc_points=request.dc_points,
             dc_values=request.dc_values,
+            detail=request.detail,
             label=corner.name,
         ))
     return requests

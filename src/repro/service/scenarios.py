@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.all_nodes import AllNodesResult
+from repro.core.second_order import phase_margin_from_damping
 from repro.exceptions import ToolError
 from repro.service.requests import AnalysisRequest, AnalysisResponse
 
@@ -184,6 +185,7 @@ def scenario_requests(spec: ScenarioSpec,
             dc_stop=base.dc_stop,
             dc_points=base.dc_points,
             dc_values=base.dc_values,
+            detail=base.detail,
             label=scenario.name,
         ))
     return scenarios, requests
@@ -200,13 +202,15 @@ class StabilityCriteria:
     min_damping_ratio: Optional[float] = None
 
     def passes(self, result: AllNodesResult) -> bool:
-        for loop in result.loops:
-            if loop.phase_margin_deg < self.min_phase_margin_deg:
-                return False
-            if (self.min_damping_ratio is not None
-                    and loop.damping_ratio < self.min_damping_ratio):
-                return False
-        return True
+        return all(self.accepts(loop.phase_margin_deg, loop.damping_ratio)
+                   for loop in result.loops)
+
+    def accepts(self, phase_margin_deg: float, damping_ratio: float) -> bool:
+        """Whether one loop with this verdict meets the criteria."""
+        if phase_margin_deg < self.min_phase_margin_deg:
+            return False
+        return not (self.min_damping_ratio is not None
+                    and damping_ratio < self.min_damping_ratio)
 
 
 @dataclass
@@ -321,27 +325,41 @@ def stability_yield(scenarios: Sequence[Scenario],
                       "transfer-curve batches, op_spread for "
                       "operating-point batches)"))
             continue
-        result = response.all_nodes_result()
-        if result.failed_nodes:
+        result = response.result
+        if result["failed_nodes"]:
             # Zero identified loops on a sample where nodes *failed* is
             # not evidence of stability; counting such samples as passing
             # would silently inflate the yield.
-            failed = ", ".join(sorted(result.failed_nodes))
+            failed = ", ".join(sorted(result["failed_nodes"]))
             outcomes.append(SampleOutcome(
                 scenario=scenario, status="error",
-                error=f"{len(result.failed_nodes)} node analyses failed: {failed}"))
+                error=f"{len(result['failed_nodes'])} node analyses "
+                      f"failed: {failed}"))
             continue
-        margins = [loop.phase_margin_deg for loop in result.loops]
-        worst = min(result.loops, key=lambda l: l.phase_margin_deg) \
-            if result.loops else None
+        loops = _loop_verdicts(result)
+        worst = min(loops, key=lambda v: v[0]) if loops else None
         outcomes.append(SampleOutcome(
             scenario=scenario,
-            status="pass" if criteria.passes(result) else "fail",
-            min_phase_margin_deg=min(margins) if margins else None,
-            worst_loop_frequency_hz=(worst.natural_frequency_hz
-                                     if worst is not None else None),
+            status="pass" if all(criteria.accepts(pm, zeta)
+                                 for pm, zeta, _ in loops) else "fail",
+            min_phase_margin_deg=worst[0] if worst else None,
+            worst_loop_frequency_hz=worst[2] if worst else None,
         ))
     return YieldSummary(outcomes=outcomes, criteria=criteria)
+
+
+def _loop_verdicts(result: dict) -> List[Tuple[float, float, float]]:
+    """``(phase margin, damping ratio, natural frequency)`` of every loop
+    of an all-nodes payload, read from the dict (compact or full) without
+    rebuilding the typed result.  As in :class:`~repro.core.loops.Loop`,
+    a loop's verdict is its first (deepest) member's damping ratio."""
+    by_node = {entry["node"]: entry for entry in result["results"]}
+    verdicts = []
+    for loop in result["loops"]:
+        zeta = by_node[loop["nodes"][0]]["damping_ratio"]
+        verdicts.append((phase_margin_from_damping(zeta), zeta,
+                         loop["natural_frequency_hz"]))
+    return verdicts
 
 
 # ----------------------------------------------------------------------

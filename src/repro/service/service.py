@@ -200,11 +200,16 @@ class StabilityService:
 
     def _store(self, response: AnalysisResponse) -> None:
         if response.ok and response.fingerprint:
-            # Only a disk tier needs the encoding: a memory-only cache
+            # Only a disk tier or a front end that sends the text on
+            # needs the encoding: an in-process memory-only service
             # (every in-process screen) never pays for one.
-            text = response.to_json() if self.cache.directory is not None \
+            text = response.to_json() \
+                if self.cache.directory is not None or self.keep_encoding \
                 else None
-            self.cache.put(response.fingerprint, response.to_dict(), text)
+            # The strict encoding fails a non-finite result in place:
+            # such a response is never cached.
+            if response.ok:
+                self.cache.put(response.fingerprint, response.to_dict(), text)
             if not self.keep_encoding:
                 response.release_json()
 

@@ -444,6 +444,61 @@ class TestMOSFET:
                 scalar.g + scalar.rhs, LANE_RTOL, f"lane {lane}")
 
 
+class _NodeCaps:
+    """Records each stamped capacitance by its unordered node pair."""
+
+    def __init__(self):
+        self.caps = {}
+
+    def capacitance_op(self, node_a, node_b, c):
+        key = frozenset((node_a, node_b))
+        self.caps[key] = self.caps.get(key, 0.0) + c
+
+
+def _meyer_caps(device, vd, vs, vg=3.0):
+    capture = _NodeCaps()
+    device.stamp_dynamic_nonlinear(
+        capture, _View({"d": vd, "g": vg, "s": vs, "b": 0.0}),
+        AnalysisContext(temperature=27.0))
+    return capture.caps
+
+
+class TestMOSFETMeyerOrientation:
+    """A reversed channel (vds < 0) puts the larger, source-side Meyer
+    capacitance between the gate and the node acting as the source."""
+
+    GS, GD = frozenset(("g", "s")), frozenset(("g", "d"))
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_mirrored_biases_mirror_the_gate_capacitances(self, polarity):
+        model = MOSFETModel(polarity=polarity, COX=2.5e-3, CGSO=0.3e-9,
+                            CGDO=0.3e-9)
+        device = MOSFET("M1", "d", "g", "s", "b", model, width=20e-6,
+                        length=2e-6)
+        p = model.sign
+        forward = _meyer_caps(device, vd=p * 2.0, vs=0.0, vg=p * 3.0)
+        reverse = _meyer_caps(device, vd=0.0, vs=p * 2.0, vg=p * 3.0)
+        # Triode (vov 2.3 V > vds 2 V): the Meyer partition puts most of
+        # the channel charge on the source side.
+        assert forward[self.GS] > 3 * forward[self.GD]
+        assert reverse[self.GD] == forward[self.GS]
+        assert reverse[self.GS] == forward[self.GD]
+
+    def test_overlaps_stay_on_their_physical_terminal(self):
+        model = MOSFETModel(COX=2.5e-3, CGSO=0.5e-9, CGDO=0.1e-9)
+        device = MOSFET("M1", "d", "g", "s", "b", model, width=20e-6,
+                        length=2e-6)
+        forward = _meyer_caps(device, vd=2.0, vs=0.0)
+        reverse = _meyer_caps(device, vd=0.0, vs=2.0)
+        overlap_s, overlap_d = model.CGSO * device.width, \
+            model.CGDO * device.width
+        exact = dict(rel=1e-12, abs=0.0)
+        assert reverse[self.GD] - overlap_d == \
+            pytest.approx(forward[self.GS] - overlap_s, **exact)
+        assert reverse[self.GS] - overlap_s == \
+            pytest.approx(forward[self.GD] - overlap_d, **exact)
+
+
 # ----------------------------------------------------------------------
 # Diode
 # ----------------------------------------------------------------------

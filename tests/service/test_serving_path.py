@@ -8,12 +8,18 @@ format, the socket option and the memory contract of that path.
 
 import http.client
 import json
+import math
 import os
 import socket
 import types
 from dataclasses import replace
 
+import pytest
+
+import repro.service.engine as engine_module
 import repro.service.requests as requests_module
+from repro.obs.metrics import global_registry
+from repro.obs.trace import Tracer, use_tracer
 from repro.service import (
     AnalysisRequest,
     AnalysisResponse,
@@ -152,6 +158,92 @@ class TestStreamBytes:
             on_disk = handle.read()
         assert lines[0] == b'{"index": 0, "response": ' \
             + on_disk.encode() + b"}"
+
+
+class TestCompactStreamBytes:
+    def test_compact_all_nodes_lines_match_sorted_dumps(self, tmp_path):
+        with running_gateway(cache_directory=str(tmp_path),
+                             persistent=False) as (gateway, client):
+            submitted = client.submit({"mode": "all-nodes",
+                                       "netlist": RLC_NETLIST})
+            lines = _raw_stream(gateway, submitted["id"])
+            job = gateway.jobs.get(submitted["id"])
+            assert lines[:-1] == _expected_lines(job)
+            [entry] = json.loads(lines[0])["response"]["result"]["results"]
+            assert "plot" not in entry
+            assert abs(entry["damping_ratio"] - 0.5) < 1e-3
+
+
+def _strict_loads(line: bytes):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("disk", [True, False])
+    def test_a_nan_result_streams_as_a_typed_failure(self, tmp_path,
+                                                     monkeypatch, disk):
+        real = engine_module.stability_payload
+
+        def poisoned(result, detail):
+            payload = real(result, detail)
+            payload["results"][0]["natural_frequency_hz"] = float("nan")
+            return payload
+
+        monkeypatch.setattr(engine_module, "stability_payload", poisoned)
+        body = {"mode": "all-nodes", "netlist": RLC_NETLIST}
+        with running_gateway(cache_directory=str(tmp_path) if disk else None,
+                             persistent=False) as (gateway, client):
+            for _attempt in range(2):
+                submitted = client.submit(body)
+                lines = _raw_stream(gateway, submitted["id"])
+                response = _strict_loads(lines[0])["response"]
+                assert response["status"] == "failed"
+                assert response["result"] is None
+                assert response["error_details"] == {
+                    "type": "NonFiniteResultError",
+                    "path": "/result/results/0/natural_frequency_hz"}
+                assert "natural_frequency_hz" in response["error"]
+                summary = _strict_loads(lines[-1])
+                assert summary["failed_requests"] == 1
+                # Never cached: the second attempt computes afresh.
+                assert summary["cached_requests"] == 0
+                assert len(gateway.service.cache) == 0
+                assert gateway.service.cache.disk_entries() == 0
+
+    def test_cache_put_refuses_non_finite_payloads(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        try:
+            cache.put(KEY, {"x": [1.0, float("inf")]})
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a non-finite payload was stored")
+        assert len(cache) == 0 and cache.disk_entries() == 0
+
+    def test_first_non_finite_names_the_path(self):
+        payload = {"a": [1.0, 2.0], "b": [{"c": 1.0}, {"c": -math.inf}]}
+        assert requests_module.first_non_finite(payload) == "/b/1/c"
+        assert requests_module.first_non_finite({"a": [1.0, 2.0]}) is None
+        assert requests_module.first_non_finite(
+            [1e308, 1e308], "/r") is None
+
+
+class TestEncodingTelemetry:
+    def test_each_encoding_is_a_span_and_counts_its_bytes(self):
+        counter = global_registry().counter("service.response_bytes")
+        before = counter.value
+        response = AnalysisResponse(fingerprint="f", mode="op",
+                                    status="done", result={"v": [1.0]})
+        tracer = Tracer()
+        with use_tracer(tracer):
+            text = response.to_json()
+            response.to_json()              # memoized: no second encoding
+        assert counter.value - before == len(text)
+        [encode] = [s for s in tracer.spans() if s.name == "service.encode"]
+        assert encode.attrs["bytes"] == len(text)
 
 
 class TestStreamReleasesText:
