@@ -4,8 +4,8 @@ The acceptance bar of the batched screening pipeline: a 64-sample Monte
 Carlo ``all-nodes`` screen of the paper's op-amp buffer (input common-mode
 + load scatter) through the engine's batched fast path — one restamp, one
 batched Newton bias plane, one batched linearization, one ``(N, nodes,
-F)`` impedance cube, vectorized stability plots/peaks and cross-sample
-refinement windows — must cost at most ``PER_SAMPLE_BAR_MS`` per sample
+F)`` impedance cube, vectorized stability plots/peaks and one lockstep
+closed-form peak search — must cost at most ``PER_SAMPLE_BAR_MS`` per sample
 (best of ``REPEATS`` screens).
 
 The bar is absolute, not a ratio against per-request execution: the

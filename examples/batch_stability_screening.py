@@ -8,8 +8,9 @@ Demonstrates the batched stability pipeline (``docs/compiled-engine.md``):
    same-structure stability group through its in-process fast path —
    ONE pilot-warm-started batched Newton bias plane, ONE batched
    linearization, ONE ``(samples, nodes, frequencies)`` impedance cube,
-   then vectorized stability plots, peak extraction and cross-sample
-   refinement windows;
+   then vectorized stability plots and peak extraction, and one
+   lockstep search for the closed-form eq. 1.3 minimum near every
+   dominant peak;
 3. print the ``engine.stability_batch.*`` counters proving the batched
    screen served the group, the worst per-node phase margin across the
    scatter, and the same screen run per-request for contrast.

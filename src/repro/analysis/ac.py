@@ -14,8 +14,9 @@ Three solver paths sit behind one interface (``docs/solver-backends.md``):
   frequency is a back-substitution through the triangular ``S + sT``,
   vectorized over (sample, frequency, column).  A
   :class:`~repro.analysis.compiled.BatchLinearization` caches its
-  reduction, so a screen's coarse cube and every refinement window share
-  one QZ per sample; :func:`solve_ac_stacked` is a batch of one.
+  reduction, so a screen's coarse cube and its closed-form peak search
+  (:func:`reduced_driving_point`) share one QZ per sample;
+  :func:`solve_ac_stacked` is a batch of one.
 * **Dense LU** per frequency, for larger dense systems, where one QZ
   costs hundreds of factorizations.
 * **Sparse**: SuperLU factorizes ``G + j*omega*C`` per frequency and
@@ -56,7 +57,8 @@ from repro.linalg import (
 from repro.obs.metrics import global_registry
 from repro.obs.trace import span as _span
 
-__all__ = ["PencilReduction", "ac_analysis", "reduce_pencils",
+__all__ = ["PencilReduction", "ac_analysis", "factored_driving_point",
+           "reduce_pencils", "reduced_driving_point",
            "solve_ac_batch", "solve_ac_stacked", "solve_ac_stacked_batch"]
 
 #: Dense sweeps of systems up to this many unknowns run the reduced sweep;
@@ -245,6 +247,86 @@ def _reduced_sweep(reduction: PencilReduction, rhs: np.ndarray,
     if sel_rows is None:
         values = values.reshape(n_samples, len(freq), n, m)
     return values, first_bad
+
+
+def reduced_driving_point(reduction: PencilReduction, samples: np.ndarray,
+                          rows: np.ndarray, s: np.ndarray) -> tuple:
+    """``T``, ``dT/ds``, ``d2T/ds2`` of ``T(s) = [(G + sC)^-1]_rr`` at the
+    ``(P, E)`` points ``s`` (row ``p``: sample ``samples[p]``, unknown
+    ``rows[p]``), and the mask of singular points.
+
+    With ``R = S + sT = QH (G + sC) Z``, ``u = QH[:, r]``, ``w = Z[r, :]``::
+
+        T = w R^-1 u,   T' = -w R^-1 T R^-1 u,   T'' = 2 w (R^-1 T)^2 R^-1 u
+
+    — three back-substitutions through ``R`` side by side, each feeding
+    the next through the triangular ``T``.  As in :func:`_reduced_sweep`,
+    plain elementwise numpy keeps every point's arithmetic its own.
+    """
+    n = reduction.S.shape[1]
+    S_t = np.transpose(reduction.S[samples], (1, 2, 0))[..., None]  # (n, n, P, 1)
+    T_t = np.transpose(reduction.T[samples], (1, 2, 0))[..., None]
+    u = reduction.QH[samples, :, rows].T[..., None]                # (n, P, 1)
+    w = reduction.Z[samples, rows, :].T[..., None]
+    pivots = np.diagonal(S_t[..., 0]).T[..., None] \
+        + np.diagonal(T_t[..., 0]).T[..., None] * s                # (n, P, E)
+    bad = ~np.isfinite(pivots) | (pivots == 0)
+    pivots[bad] = 1.0
+    inverse = 1.0 / pivots
+    rest = np.zeros((3, n) + s.shape, dtype=complex)               # (3, n, P, E)
+    rest[0] = u
+    y = np.empty((3,) + s.shape, dtype=complex)
+    acc = np.zeros_like(y)
+    term = np.empty_like(rest)
+    column = np.empty((n,) + s.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            # y_k[i], then its share of the next system's rhs T y_k.
+            for k in range(3):
+                np.multiply(rest[k, i], inverse[i], out=y[k])
+                if k < 2:
+                    np.multiply(T_t[:i + 1, i], y[k], out=term[0, :i + 1])
+                    rest[k + 1, :i + 1] += term[0, :i + 1]
+            np.multiply(w[i], y, out=term[:, 0])
+            acc += term[:, 0]
+            if i:
+                np.multiply(T_t[:i, i], s, out=column[:i])
+                column[:i] += S_t[:i, i]
+                np.multiply(column[None, :i], y[:, None], out=term[:, :i])
+                rest[:, :i] -= term[:, :i]
+    return acc[0], -acc[1], 2.0 * acc[2], bad.any(axis=0)
+
+
+def factored_driving_point(lin, backend: SolverBackend, samples: np.ndarray,
+                           rows: np.ndarray, s: np.ndarray) -> tuple:
+    """:func:`reduced_driving_point` by one factorization of ``A = G + sC``
+    per point: ``x0 = A^-1 e_r``, ``x1 = A^-1 C x0`` and ``x2 = A^-1 C x1``
+    give ``T = x0_r``, ``T' = -x1_r``, ``T'' = 2 x2_r``.  A singular point
+    is masked and left NaN."""
+    sparse = backend.name == "sparse"
+    values = np.full((3,) + s.shape, np.nan, dtype=complex)
+    singular = np.zeros(s.shape, dtype=bool)
+    key = None
+    for p, (sample, row) in enumerate(zip(samples, rows)):
+        G, C = (lin.sample_sparse if sparse else lin.sample_dense)(int(sample))
+        rhs = np.zeros(G.shape[0], dtype=complex)
+        rhs[row] = 1.0
+        for e, point in enumerate(s[p]):
+            matrix = G + point * C
+            if sparse:
+                matrix = matrix.tocsc()
+                key = key or csc_pattern_key(matrix)
+            try:
+                factors = backend.factorize(
+                    matrix, names=lin.compiled.variable_names, pattern_key=key)
+            except SingularMatrixError:
+                singular[p, e] = True
+                continue
+            x0 = factors.solve(rhs)
+            x1 = factors.solve(C @ x0)
+            x2 = factors.solve(C @ x1)
+            values[:, p, e] = x0[row], -x1[row], 2.0 * x2[row]
+    return values[0], values[1], values[2], singular
 
 
 def _lu_sweep(G: np.ndarray, C: np.ndarray, B: np.ndarray,

@@ -1252,9 +1252,9 @@ class BatchLinearization:
         The value planes are fancy-indexed copies of the selected rows
         (cheap next to one batched AC solve) over the *same* shared
         patterns and compiled circuit; ``failures`` keys are remapped to
-        the new positions.  Use this to push a subset of the batch —
-        e.g. the members of one refinement window — through the batched
-        solvers without paying for the absent samples.
+        the new positions.  Use this to push a subset of the batch
+        through the batched solvers without paying for the absent
+        samples.
         """
         rows = np.asarray(list(samples), dtype=np.intp)
         failures = {position: self.failures[int(sample)]

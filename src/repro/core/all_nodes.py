@@ -5,11 +5,21 @@ operating point is computed once and reused — injecting a zero-DC
 current source does not move the bias point), clusters the results into
 feedback loops and carries everything needed to print the Table-2 style
 report, annotate the circuit and compare against the black-box baselines.
+
+Each node's dominant coarse peak is refined to the minimum of eq. 1.3 in
+closed form, ``P = Re[s T'/T + s^2 (T''/T - (T'/T)^2)]`` with ``T`` the
+driving-point impedance of the pencil the impedance cube was solved
+from, bracketed two coarse steps either side (and searched again around
+each lightly damped pole pair of that pencil inside the bracket) for
+every (sample, node) peak of a screen in lockstep.  A minimum on the
+bracket's edge, a non-finite value or a singular point keeps the coarse
+peak (``core.refine.fallbacks.<reason>``, the node's
+``refine_fallback``), which then does not move its loop's natural
+frequency; a ``MIN_MAX`` peak stays one.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -19,19 +29,18 @@ import numpy as np
 from repro.analysis.compiled import BatchLinearization, CompiledCircuit
 from repro.analysis.op import operating_point
 from repro.analysis.results import OPResult
-from repro.analysis.sweeps import FrequencySweep, log_sweep
+from repro.analysis.sweeps import FrequencySweep
 from repro.circuit.netlist import Circuit
 from repro.core.excitation import excitable_nodes
 from repro.core.impedance import BatchImpedanceSweeper, ImpedanceSweeper
 from repro.core.loops import Loop, identify_loops
-from repro.core.peaks import PeakType, dominant_negative_peak, find_peaks_grid
+from repro.core.peaks import PeakType, find_peaks_grid
 from repro.core.single_node import (
     NodeStabilityResult,
     SingleNodeOptions,
-    _pick_refined_peak,
-    build_node_result,
+    build_node_results,
 )
-from repro.core.stability_plot import stability_plot, stability_plot_grid
+from repro.core.stability_plot import stability_plot_grid
 from repro.exceptions import StabilityAnalysisError
 from repro.obs.metrics import global_registry
 from repro.waveform.waveform import Waveform
@@ -207,8 +216,9 @@ def analyze_all_nodes_batch(circuit: Circuit,
     ``options_rows`` and ``ops`` hold one entry per sample.  The coarse
     sweep of every node of every sample is ONE ``(N, nodes, F)``
     impedance-cube solve, peaks come from one :func:`find_peaks_grid`
-    pass per sample, and refinement windows are solved once for every
-    sample that asks for them (:func:`_prewarm_refinements`).
+    pass per sample, and every dominant peak of every sample is refined
+    in one lockstep :func:`~repro.core.single_node.refine_dominant_peaks`
+    search on the pencils the cube was solved from.
 
     Returns one :class:`AllNodesResult` per sample; samples whose
     linearization or AC solve failed yield their ``Exception`` instead
@@ -252,34 +262,27 @@ def _screen(circuit: Circuit, options_rows: Sequence[AllNodesOptions],
     freq = np.array(sweep.frequencies, dtype=float)
     cube, sample_failures = sweeper.impedance_cube(nodes, freq)
 
-    # Coarse scan: stability plots and one vectorized peak pass per
-    # sample.  Kept separate from result assembly so the refinement
-    # windows — whose centres fall out of the coarse peaks — can be
-    # solved as batched cubes across samples below.
+    # One vectorized plot and peak pass per sample, then one lockstep
+    # refinement of every dominant peak of every sample.
     outputs: List[Union[AllNodesResult, Exception]] = [None] * n_samples
-    scans: Dict[int, tuple] = {}
+    rows: List[tuple] = []
     for k in range(n_samples):
         if k in sample_failures:
             outputs[k] = sample_failures[k]
             continue
         try:
-            scans[k] = _scan_sample(nodes, freq, cube[k], options_rows[k])
+            scan = _scan_sample(nodes, freq, cube[k], options_rows[k])
         except Exception as exc:
             outputs[k] = exc
-
-    prewarmed, refined = _prewarm_refinements(nodes, scans, options_rows,
-                                              sweeper)
-
-    for k, scan in scans.items():
-        try:
-            outputs[k] = _build_sample_result(circuit, nodes, skipped_sorted,
-                                              options_rows[k], ops[k],
-                                              sweeper, freq, scan,
-                                              prewarmed.get(k) or {},
-                                              refined.get(k) or {}, k,
-                                              start)
-        except Exception as exc:
-            outputs[k] = exc
+            continue
+        rows.extend((k, node, options_rows[k], ops[k]) + entry
+                    for node, entry in zip(nodes, scan))
+    per_sample: Dict[int, List[tuple]] = {}
+    for row, result in zip(rows, build_node_results(sweeper, freq, rows)):
+        per_sample.setdefault(row[0], []).append((row[1], result))
+    for k, built in per_sample.items():
+        outputs[k] = _sample_result(circuit, skipped_sorted, options_rows[k],
+                                    ops[k], built, start)
 
     # The reduced sweep's QZ reduction holds every sample's poles for
     # free: hold each reported loop against them (dense systems of up to
@@ -325,200 +328,46 @@ def pole_mismatches(result: AllNodesResult, poles: np.ndarray) -> List[str]:
 
 
 def _scan_sample(nodes: List[str], freq: np.ndarray, slab: np.ndarray,
-                 options: AllNodesOptions) -> tuple:
-    """One sample's coarse responses, stability plots and peak scan.
+                 options: AllNodesOptions) -> List[tuple]:
+    """One sample's ``(response, plot, peaks)`` per node.
 
-    The plots of every plottable node come from one vectorized
-    :func:`stability_plot_grid` pass (bit-identical to per-node
-    :func:`stability_plot` under ``method="gradient"``); rows the grid
-    rejects re-run the scalar function so the per-node diagnostics are
-    exactly the scalar path's.  Peaks of all rows come from one
-    :func:`find_peaks_grid` call.
+    Under ``method="gradient"`` the plots come from one vectorized
+    :func:`stability_plot_grid` pass and their peaks from one
+    :func:`find_peaks_grid` call (both bit-identical to the per-node
+    functions).  Rows the grid rejects, zero responses and other plot
+    methods carry ``None`` and are left to :func:`build_node_results`,
+    which reproduces the scalar path's diagnostics.
     """
-    responses: List[Waveform] = []
-    plots: List[Optional[Waveform]] = []
-    deferred: Dict[str, Exception] = {}
-    rows: List[np.ndarray] = []
-    row_of: Dict[int, int] = {}
     mags = np.abs(slab)
-    grid_values = None
-    grid_ok = None
-    if options.plot_method == "gradient":
-        grid_values, grid_ok = stability_plot_grid(freq, mags)
-    for column, node in enumerate(nodes):
-        response = Waveform(freq, mags[column], name=f"|Z({node})|",
-                            x_unit="Hz", y_unit="Ohm")
-        responses.append(response)
-        plot = None
-        if float(np.max(mags[column])) >= 1e-30:
-            # Zero responses take build_node_result's short-circuit branch
-            # and never reach the plot, exactly like the scalar path.
-            try:
-                if grid_values is not None and grid_ok[column]:
-                    plot = Waveform(freq, grid_values[column],
-                                    name=f"stability({response.name})",
-                                    x_unit="Hz", y_unit="")
-                else:
-                    plot = stability_plot(response,
-                                          method=options.plot_method)
-            except Exception as exc:
-                deferred[node] = exc
-            else:
-                row_of[column] = len(rows)
-                rows.append(plot.y)
-        plots.append(plot)
-    peak_rows = (find_peaks_grid(freq, np.array(rows),
-                                 threshold=options.peak_threshold)
-                 if rows else [])
-    return responses, plots, deferred, row_of, peak_rows
+    scan = [(Waveform(freq, mags[column], name=f"|Z({node})|", x_unit="Hz",
+                      y_unit="Ohm"), None, None)
+            for column, node in enumerate(nodes)]
+    if options.plot_method != "gradient":
+        return scan
+    values, ok = stability_plot_grid(freq, mags)
+    columns = [c for c in range(len(nodes))
+               if ok[c] and float(np.max(mags[c])) >= 1e-30]
+    if not columns:
+        return scan
+    peak_rows = find_peaks_grid(freq, values[columns],
+                                threshold=options.peak_threshold)
+    for column, peaks in zip(columns, peak_rows):
+        response = scan[column][0]
+        scan[column] = (response, Waveform(freq, values[column],
+                                           name=f"stability({response.name})",
+                                           x_unit="Hz", y_unit=""), peaks)
+    return scan
 
 
-def _prewarm_refinements(nodes: List[str], scans: Dict[int, tuple],
-                         options_rows: Sequence[AllNodesOptions],
-                         sweeper: BatchImpedanceSweeper) -> tuple:
-    """Solve and re-scan shared refinement windows batch-wide.
-
-    Each sample's refinement centres are its dominant coarse peaks, which
-    land on shared coarse-grid frequencies — so in a Monte Carlo screen
-    most samples request identical windows.  Each distinct window is
-    solved as one member-subset impedance cube instead of one scalar
-    sweep per sample, and its dense-window stability plots and peaks are
-    extracted in one vectorized grid pass over every member row.
-
-    Returns ``(prewarmed, refined)``: per-sample window caches keyed
-    exactly like the scalar refiner (rounded log-centre), and per-sample
-    ``{node: (refined_plot, refined_peak)}`` precomputed refinements.
-    Anything missing — a failed window solve, a row the grid kernel
-    rejects — falls back to the per-sample scalar path inside the
-    refiner, which reproduces the scalar diagnostics.
-    """
-    window_groups: Dict[tuple, List[tuple]] = {}
-    wants: Dict[tuple, List[tuple]] = {}
-    for k, scan in scans.items():
-        options = options_rows[k]
-        if not options.refine:
-            continue
-        _, _, _, row_of, peak_rows = scan
-        seen: Dict[float, float] = {}
-        for column in row_of:
-            dominant = dominant_negative_peak(peak_rows[row_of[column]])
-            if dominant is None:
-                continue
-            key = round(math.log10(dominant.frequency_hz), 3)
-            seen.setdefault(key, dominant.frequency_hz)
-            if options.plot_method == "gradient":
-                # The grid kernel implements the gradient method only;
-                # other methods refine through the scalar path.
-                wants.setdefault((k, key), []).append((column, dominant))
-        for key, center in seen.items():
-            window_groups.setdefault(
-                (center, options.refine_span_decades,
-                 options.refine_points_per_decade), []).append((k, key))
-
-    prewarmed: Dict[int, Dict[float, Dict[str, Waveform]]] = {}
-    refined: Dict[int, Dict[str, tuple]] = {}
-    for (center, span_decades, points_per_decade), members \
-            in window_groups.items():
-        half_span = 10.0 ** (span_decades / 2.0)
-        window = log_sweep(center / half_span, center * half_span,
-                           points_per_decade)
-        member_samples = [k for k, _ in members]
-        try:
-            # Solve only the members: the sub-batch costs exactly its
-            # sample count, so even a single-member window matches the
-            # scalar refiner solve it replaces.
-            wcube, wfails = sweeper.impedance_cube(nodes, window,
-                                                   samples=member_samples)
-        except Exception:
-            continue    # per-sample refiners reproduce any diagnostics
-        rows: List[np.ndarray] = []
-        meta: List[tuple] = []
-        for position, (k, key) in enumerate(members):
-            if k in wfails:
-                continue
-            prewarmed.setdefault(k, {})[key] = {
-                node: Waveform(window, wcube[position][column],
-                               name=f"Z({node})", x_unit="Hz", y_unit="Ohm")
-                for column, node in enumerate(nodes)}
-            for column, dominant in wants.get((k, key), ()):
-                rows.append(np.abs(wcube[position][column]))
-                meta.append((k, nodes[column], dominant,
-                             options_rows[k].peak_threshold))
-        if not rows:
-            continue
-        grid_values, grid_ok = stability_plot_grid(window, np.array(rows))
-        if grid_values is None:
-            continue
-        # One peak pass per distinct threshold (one pass in practice:
-        # batch groups share their analysis options by construction).
-        by_threshold: Dict[float, List[int]] = {}
-        for row, (_, _, _, threshold) in enumerate(meta):
-            if grid_ok[row]:
-                by_threshold.setdefault(threshold, []).append(row)
-        for threshold, ok_rows in by_threshold.items():
-            peak_rows = find_peaks_grid(window, grid_values[ok_rows],
-                                        threshold=threshold)
-            for row, peaks in zip(ok_rows, peak_rows):
-                k, node, dominant, _ = meta[row]
-                plot = Waveform(window, grid_values[row],
-                                name=f"stability(mag(Z({node})))",
-                                x_unit="Hz", y_unit="")
-                refined.setdefault(k, {})[node] = (
-                    plot, _pick_refined_peak(peaks, dominant))
-    return prewarmed, refined
-
-
-def _build_sample_result(circuit: Circuit, nodes: List[str],
-                         skipped: List[str], options: AllNodesOptions,
-                         op: Optional[OPResult],
-                         sweeper: BatchImpedanceSweeper, freq: np.ndarray,
-                         scan: tuple,
-                         prewarmed: Dict[float, Dict[str, Waveform]],
-                         refined: Dict[str, tuple],
-                         sample_index: int,
-                         start: float) -> AllNodesResult:
-    """One sample's :class:`AllNodesResult` from its precomputed scan.
-
-    The coarse plots and peaks arrive precomputed from
-    :func:`_scan_sample`, per-node dense-window refinements arrive
-    precomputed in ``refined``, and the refinement cache (keyed on the
-    rounded log-centre frequency) starts seeded with the windows
-    :func:`_prewarm_refinements` solved batch-wide.  Anything else
-    refines through this sample's own sweep; a node that fails is
-    recorded in ``failed_nodes``.
-    """
-    responses, plots, deferred, row_of, peak_rows = scan
-
-    refine_cache: Dict[float, Dict[str, Waveform]] = dict(prewarmed)
-
-    def refiner(node: str, center_hz: float, span_decades: float,
-                points_per_decade: int) -> Waveform:
-        key = round(math.log10(center_hz), 3)
-        if key not in refine_cache:
-            half_span = 10.0 ** (span_decades / 2.0)
-            window = log_sweep(center_hz / half_span, center_hz * half_span,
-                               points_per_decade)
-            raw = sweeper.sample_impedances(sample_index, nodes, window)
-            refine_cache[key] = {
-                name: Waveform(window, values, name=f"Z({name})",
-                               x_unit="Hz", y_unit="Ohm")
-                for name, values in raw.items()}
-        return refine_cache[key][node].magnitude()
-
-    results: List[NodeStabilityResult] = []
-    failures: Dict[str, str] = {}
-    for column, node in enumerate(nodes):
-        try:
-            if node in deferred:
-                raise deferred[node]
-            peaks = peak_rows[row_of[column]] if column in row_of else None
-            results.append(build_node_result(node, responses[column], options,
-                                             op=op, refiner=refiner,
-                                             plot=plots[column], peaks=peaks,
-                                             refined=refined.get(node)))
-        except Exception as exc:
-            failures[node] = str(exc)
-
+def _sample_result(circuit: Circuit, skipped: List[str],
+                   options: AllNodesOptions, op: Optional[OPResult],
+                   built: List[tuple], start: float) -> AllNodesResult:
+    """One sample's :class:`AllNodesResult` from its ``(node, result or
+    exception)`` pairs; a failed node is recorded in ``failed_nodes``."""
+    results = [result for _, result in built
+               if isinstance(result, NodeStabilityResult)]
+    failures = {node: str(result) for node, result in built
+                if not isinstance(result, NodeStabilityResult)}
     loops = identify_loops(results,
                            frequency_tolerance=options.loop_frequency_tolerance,
                            min_peak_magnitude=options.loop_min_peak)

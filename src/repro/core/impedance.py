@@ -26,7 +26,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.ac import REDUCED_SWEEP_MAX_SIZE, solve_ac_stacked_batch
+from repro.analysis.ac import (
+    REDUCED_SWEEP_MAX_SIZE,
+    factored_driving_point,
+    reduce_pencils,
+    reduced_driving_point,
+    solve_ac_stacked_batch,
+)
 from repro.analysis.compiled import BatchLinearization, CompiledCircuit
 from repro.analysis.context import AnalysisContext
 from repro.analysis.mna import MNASystem
@@ -34,11 +40,17 @@ from repro.analysis.op import NewtonOptions, operating_point
 from repro.analysis.results import OPResult
 from repro.circuit.netlist import Circuit
 from repro.exceptions import StabilityAnalysisError
-from repro.linalg import resolve_backend
+from repro.linalg import AUTO_SPARSE_MIN_SIZE, resolve_backend
 from repro.linalg.triplets import CompiledPattern
 from repro.waveform.waveform import Waveform
 
 __all__ = ["BatchImpedanceSweeper", "ImpedanceSweeper"]
+
+
+#: Off the reduced path, the peak search takes its seeding poles from a
+#: QZ of each sample's dense pencil below this many unknowns; larger
+#: systems search unseeded.
+POLE_SEED_MAX_SIZE = AUTO_SPARSE_MIN_SIZE
 
 
 class BatchImpedanceSweeper:
@@ -49,12 +61,13 @@ class BatchImpedanceSweeper:
     :meth:`impedance_cube` computes the full ``(N, nodes, F)`` impedance
     cube in stacked batch solves: on the dense backend one reduced sweep
     covers every sample, frequency and injection column together, over
-    QZ reductions cached on ``lin`` (so refinement windows reuse them);
+    QZ reductions cached on ``lin`` (so the peak search reuses them);
     on the sparse backend every factorization of the batch shares one
     cached symbolic ordering.
 
-    :meth:`sample_impedances` is the one-sample view used by the
-    per-sample peak refinement.
+    :meth:`driving_point_derivatives` evaluates the impedance and its
+    s-derivatives at arbitrary points for the closed-form peak search;
+    :meth:`sample_impedances` is the one-sample view of the cube.
     """
 
     def __init__(self, lin: BatchLinearization,
@@ -89,6 +102,31 @@ class BatchImpedanceSweeper:
             return None
         return self._lin.reduction()
 
+    def poles(self, sample: int) -> np.ndarray:
+        """Sample ``sample``'s finite poles [rad/s], which seed the peak
+        search: from the cached reduction on the reduced path, else from
+        a QZ of its dense pencil below :data:`POLE_SEED_MAX_SIZE`
+        unknowns; none above, or when the pencil is singular."""
+        reduction, row = self.reduction(), sample
+        if reduction is None and self.compiled.size < POLE_SEED_MAX_SIZE:
+            G, C = self._lin.sample_dense(sample)
+            reduction, row = reduce_pencils(G[None], C[None]), 0
+        if reduction is None or row in reduction.failures:
+            return np.empty(0, dtype=complex)
+        return reduction.poles(row)
+
+    def driving_point_derivatives(self, samples: np.ndarray,
+                                  rows: np.ndarray, s: np.ndarray) -> tuple:
+        """``Z``, ``dZ/ds``, ``d2Z/ds2`` and a singular-point mask at the
+        ``(P, E)`` points ``s``, row ``p`` at unknown ``rows[p]`` of sample
+        ``samples[p]``: through the cached QZ form on the reduced path,
+        else one factorization of ``G + sC`` per point."""
+        reduction = self.reduction()
+        if reduction is not None:
+            return reduced_driving_point(reduction, samples, rows, s)
+        return factored_driving_point(self._lin, self._backend, samples,
+                                      rows, s)
+
     def _injection_rhs(self, nodes: Sequence[str]):
         unknown = [n for n in nodes if not self.has_node(n)]
         if unknown:
@@ -111,11 +149,10 @@ class BatchImpedanceSweeper:
         (linearization failures plus per-sample singular frequency
         points); failed samples' slabs are NaN.
 
-        ``samples`` restricts the solve to a subset of the batch (the
-        members of one refinement window, say): the cube's first axis
-        then follows the given order — ``cube[p]`` belongs to
-        ``samples[p]`` — while the failure map keeps the *original*
-        sample indices.
+        ``samples`` restricts the solve to a subset of the batch: the
+        cube's first axis then follows the given order — ``cube[p]``
+        belongs to ``samples[p]`` — while the failure map keeps the
+        *original* sample indices.
         """
         nodes = list(nodes)
         freq = np.asarray(frequencies, dtype=float)
@@ -133,9 +170,8 @@ class BatchImpedanceSweeper:
 
     def sample_impedances(self, index: int, nodes: Sequence[str],
                           frequencies: Sequence[float]) -> Dict[str, np.ndarray]:
-        """One sample's impedance sweep (the refinement path): a batch of
-        one through :meth:`impedance_cube`, so it reuses the batch's
-        reduction."""
+        """One sample's impedance sweep: a batch of one through
+        :meth:`impedance_cube`, so it reuses the batch's reduction."""
         if index in self._lin.failures:
             raise self._lin.failures[index]
         nodes = list(nodes)

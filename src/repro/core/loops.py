@@ -143,10 +143,13 @@ def identify_loops(results: Sequence[NodeStabilityResult],
     for members in clusters:
         members_sorted = sorted(members, key=lambda r: r.performance_index)
         # Peak-magnitude-weighted representative frequency: the deepest
-        # peaks localise the resonance best.
-        weight_sum = sum(abs(m.performance_index) for m in members_sorted)
+        # peaks localise the resonance best.  Peaks the closed-form search
+        # left at their coarse value count only when no member was refined.
+        weighted = [m for m in members_sorted
+                    if m.refine_fallback is None] or members_sorted
+        weight_sum = sum(abs(m.performance_index) for m in weighted)
         representative = sum(m.natural_frequency_hz * abs(m.performance_index)
-                             for m in members_sorted) / weight_sum
+                             for m in weighted) / weight_sum
         loops.append(Loop(natural_frequency_hz=representative, nodes=members_sorted))
 
     loops.sort(key=lambda loop: loop.natural_frequency_hz)

@@ -5,8 +5,8 @@ For one selected node the analysis:
 1. attaches the AC current stimulus to the node (closed loop untouched),
 2. runs an AC sweep and takes the magnitude of the node's own response,
 3. computes the stability plot (eq. 1.3),
-4. finds the dominant negative peak, optionally refining the frequency
-   grid around it for an accurate peak value,
+4. finds the dominant negative peak and, optionally, refines it to the
+   minimum of eq. 1.3 in closed form near it (:func:`refine_dominant_peaks`),
 5. converts the peak value (the node's **performance index**) into the
    damping ratio, estimated phase margin and equivalent step overshoot of
    the loop the node participates in (eq. 1.4 + Table 1 relations).
@@ -14,17 +14,16 @@ For one selected node the analysis:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.analysis.ac import ac_analysis
 from repro.analysis.compiled import BatchLinearization
 from repro.analysis.op import STABILITY_NEWTON, NewtonOptions, operating_point
-from repro.analysis.results import ACResult, OPResult
-from repro.analysis.sweeps import FrequencySweep, log_sweep
+from repro.analysis.results import OPResult
+from repro.analysis.sweeps import FrequencySweep
 from repro.circuit.netlist import Circuit
 from repro.core.excitation import DEFAULT_STIMULUS_AMPLITUDE, prepare_excited_circuit
 from repro.core.peaks import PeakType, StabilityPeak, dominant_negative_peak, find_peaks
@@ -33,12 +32,20 @@ from repro.core.second_order import (
     overshoot_from_damping,
     phase_margin_from_damping,
 )
-from repro.core.stability_plot import stability_plot
+from repro.core.stability_plot import (
+    BRACKET_STEPS,
+    bracketed_minima,
+    closed_form_plot,
+    stability_plot,
+)
 from repro.exceptions import StabilityAnalysisError
+from repro.obs.metrics import global_registry
+from repro.obs.trace import span as _span
 from repro.waveform.waveform import Waveform
 
 __all__ = ["NodeStabilityResult", "STABILITY_NEWTON", "SingleNodeOptions",
-           "analyze_node", "analyze_node_batch", "build_node_result"]
+           "analyze_node", "analyze_node_batch", "build_node_result",
+           "build_node_results", "refine_dominant_peaks"]
 
 
 @dataclass
@@ -55,12 +62,8 @@ class SingleNodeOptions:
     stimulus_amplitude: float = DEFAULT_STIMULUS_AMPLITUDE
     #: Zero all pre-existing AC stimuli before the run (tool default).
     zero_existing_ac: bool = True
-    #: Refine the sweep around the dominant peak for an accurate value.
+    #: Refine the dominant peak to the closed-form minimum of eq. 1.3.
     refine: bool = True
-    #: Points per decade of the refinement sweep.
-    refine_points_per_decade: int = 400
-    #: Width of the refinement window in decades (centred on the peak).
-    refine_span_decades: float = 0.6
     #: Differentiation method for the stability plot.
     plot_method: str = "gradient"
     #: Minimum |peak| to report at all.
@@ -109,8 +112,12 @@ class NodeStabilityResult:
     overshoot_percent: Optional[float]
     #: Peak special-case classification.
     peak_type: Optional[PeakType]
-    #: Refined stability plot around the peak (None when refine=False).
+    #: Closed-form stability plot at the frequencies the peak search
+    #: evaluated (None when refine=False or without a dominant peak).
     refined_plot: Optional[Waveform] = None
+    #: Why the peak search kept the coarse peak (``"edge_minimum"``,
+    #: ``"non_finite"`` or ``"singular"``); None when it did not.
+    refine_fallback: Optional[str] = None
     #: Operating point used for the small-signal analysis.
     op: Optional[OPResult] = None
 
@@ -147,6 +154,7 @@ class NodeStabilityResult:
             "phase_margin_deg": self.phase_margin_deg,
             "overshoot_percent": self.overshoot_percent,
             "peak_type": self.peak_type.value if self.peak_type is not None else None,
+            "refine_fallback": self.refine_fallback,
             "op": (self.op.to_dict()
                    if include_op and self.op is not None else None),
         }
@@ -181,6 +189,7 @@ class NodeStabilityResult:
             peak_type=(PeakType(data["peak_type"])
                        if data.get("peak_type") is not None else None),
             refined_plot=_waveform_or_none(data.get("refined_plot")),
+            refine_fallback=data.get("refine_fallback"),
             op=op,
         )
 
@@ -202,84 +211,86 @@ def _waveform_or_none(data: Optional[dict]) -> Optional[Waveform]:
 
 def build_node_result(node: str, response: Waveform,
                       options: SingleNodeOptions,
-                      op: Optional[OPResult] = None,
-                      refiner: Optional[Callable[[str, float, float, int], Waveform]] = None,
-                      plot: Optional[Waveform] = None,
-                      peaks: Optional[List[StabilityPeak]] = None,
-                      refined: Optional[tuple] = None
-                      ) -> NodeStabilityResult:
-    """Turn a node's AC response magnitude into a :class:`NodeStabilityResult`.
+                      op: Optional[OPResult] = None) -> NodeStabilityResult:
+    """One node's :class:`NodeStabilityResult` from its AC response
+    magnitude, with the coarse peak unrefined (:func:`build_node_results`
+    of one row without a pencil)."""
+    (result,) = build_node_results(None, response.x, [
+        (0, node, options, op, response, None, None)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def build_node_results(sweeper, frequencies: Sequence[float],
+                       rows: Sequence[tuple]
+                       ) -> List[Union[NodeStabilityResult, Exception]]:
+    """Turn node responses into :class:`NodeStabilityResult` objects,
+    every dominant peak refined in one lockstep
+    :func:`refine_dominant_peaks` call.
 
     This is the post-processing shared by the reference single-node path
-    and the fast multi-node path: stability plot, peak detection, optional
-    refinement around the dominant peak and conversion of the performance
-    index into damping / phase margin / overshoot estimates.
-
-    ``refiner(node, center_hz, span_decades, points_per_decade)`` must
-    return the response magnitude over the dense refinement window; when it
-    is ``None`` no refinement is performed.
-
-    ``plot`` and ``peaks`` let callers that already hold the stability plot
-    and its peaks (the batched all-nodes path runs one vectorized
-    extraction over every node at once) skip the recomputation; they must
-    equal what :func:`stability_plot` / :func:`find_peaks` would return for
-    ``response`` under ``options``.  ``refined`` similarly carries a
-    precomputed ``(refined_plot, refined_peak)`` pair — what the
-    ``refiner`` + dense-window re-scan would produce for this node's
-    dominant peak — and takes precedence over calling ``refiner``.
+    and the batched paths: stability plot, peak detection, refinement and
+    conversion of the performance index into damping / phase margin /
+    overshoot estimates.  A row is ``(sample, node, options, op,
+    response, plot, peaks)``; ``plot`` and ``peaks`` are ``None`` unless
+    the caller holds them (the batched all-nodes path runs one vectorized
+    extraction over every node), and must then equal what
+    :func:`stability_plot` / :func:`find_peaks` return for ``response``
+    under ``options``.  ``sweeper`` (``None``: no refinement) holds each
+    row's pencil.  Returns each row's result, or the exception it raised.
     """
-    if float(np.max(np.abs(response.y))) < 1e-30:
-        # The node is held by an ideal (zero-impedance) source: the injected
-        # current produces no response and the node carries no stability
-        # information.  Report "no complex pole" rather than failing.
-        return NodeStabilityResult(
-            node=node, plot=response.copy(name=f"stability({node})"),
-            response=response, peaks=[], dominant_peak=None,
-            performance_index=None, natural_frequency_hz=None,
-            damping_ratio=None, phase_margin_deg=None, overshoot_percent=None,
-            peak_type=None, refined_plot=None, op=op)
-
-    if plot is None:
-        plot = stability_plot(response, method=options.plot_method)
-    if peaks is None:
-        peaks = find_peaks(plot, threshold=options.peak_threshold)
-    dominant = dominant_negative_peak(peaks)
-
-    refined_plot = None
-    if dominant is not None and options.refine:
-        if refined is not None:
-            refined_plot, dominant = refined
-        elif refiner is not None:
-            fine_response = refiner(node, dominant.frequency_hz,
-                                    options.refine_span_decades,
-                                    options.refine_points_per_decade)
-            refined_plot, dominant = _refine_peak(fine_response, dominant,
-                                                  options)
-
-    if dominant is None:
-        return NodeStabilityResult(
+    outputs: List = [None] * len(rows)
+    scans: Dict[int, tuple] = {}
+    wants: List[tuple] = []
+    for index, (sample, node, options, _, response, plot, peaks) \
+            in enumerate(rows):
+        try:
+            dominant = None
+            if float(np.max(np.abs(response.y))) < 1e-30:
+                # The node is held by an ideal (zero-impedance) source: the
+                # injected current produces no response and the node
+                # carries no stability information.  Report "no complex
+                # pole" rather than failing.
+                plot, peaks = response.copy(name=f"stability({node})"), []
+            else:
+                if plot is None:
+                    plot = stability_plot(response, method=options.plot_method)
+                if peaks is None:
+                    peaks = find_peaks(plot, threshold=options.peak_threshold)
+                dominant = dominant_negative_peak(peaks)
+            if dominant is not None and options.refine and sweeper is not None:
+                wants.append((sample, node, dominant, index))
+        except Exception as exc:
+            outputs[index] = exc
+            continue
+        scans[index] = (plot, peaks, (None, dominant, None))
+    refined = dict(zip((want[3] for want in wants),
+                       refine_dominant_peaks(sweeper, frequencies,
+                                             [want[:3] for want in wants])))
+    for index, (plot, peaks, unrefined) in scans.items():
+        _, node, _, op, response, _, _ = rows[index]
+        refined_plot, dominant, fallback = refined.get(index, unrefined)
+        verdict = dict.fromkeys(("performance_index", "natural_frequency_hz",
+                                 "damping_ratio", "phase_margin_deg",
+                                 "overshoot_percent", "peak_type"))
+        try:
+            if dominant is not None:
+                damping = damping_from_performance_index(dominant.value)
+                verdict.update(performance_index=dominant.value,
+                               natural_frequency_hz=dominant.frequency_hz,
+                               damping_ratio=damping,
+                               phase_margin_deg=phase_margin_from_damping(damping),
+                               overshoot_percent=overshoot_from_damping(damping),
+                               peak_type=dominant.peak_type)
+        except Exception as exc:
+            outputs[index] = exc
+            continue
+        outputs[index] = NodeStabilityResult(
             node=node, plot=plot, response=response, peaks=peaks,
-            dominant_peak=None, performance_index=None, natural_frequency_hz=None,
-            damping_ratio=None, phase_margin_deg=None, overshoot_percent=None,
-            peak_type=None, refined_plot=refined_plot, op=op)
-
-    performance_index = dominant.value
-    damping = damping_from_performance_index(performance_index)
-    return NodeStabilityResult(
-        node=node,
-        plot=plot,
-        response=response,
-        peaks=peaks,
-        dominant_peak=dominant,
-        performance_index=performance_index,
-        natural_frequency_hz=dominant.frequency_hz,
-        damping_ratio=damping,
-        phase_margin_deg=phase_margin_from_damping(damping),
-        overshoot_percent=overshoot_from_damping(damping),
-        peak_type=dominant.peak_type,
-        refined_plot=refined_plot,
-        op=op,
-    )
+            dominant_peak=dominant, refined_plot=refined_plot,
+            refine_fallback=fallback, op=op, **verdict)
+    return outputs
 
 
 def analyze_node(circuit: Circuit, node: str,
@@ -294,8 +305,14 @@ def analyze_node(circuit: Circuit, node: str,
     ``compiled`` (a :class:`~repro.analysis.compiled.CompiledCircuit` of
     the original circuit) speeds up that operating-point computation in
     scenario sweeps; the excited copy is per-node by construction and is
-    always assembled fresh.
+    always assembled fresh.  The dominant peak is refined on the pencil
+    of an :class:`~repro.core.impedance.ImpedanceSweeper` at the same
+    bias point — the all-nodes run's, so both runs refine alike.  With
+    ``zero_existing_ac=False`` the response is not the driving-point
+    impedance, and the coarse peak stands.
     """
+    from repro.core.impedance import ImpedanceSweeper
+
     options = options or SingleNodeOptions()
     sweep = FrequencySweep.coerce(options.sweep)
 
@@ -311,25 +328,22 @@ def analyze_node(circuit: Circuit, node: str,
                              compiled=compiled)
 
     node_name = circuit.resolve_node(node)
-
-    def sweep_response(frequencies) -> Waveform:
-        ac = ac_analysis(excited, frequencies, temperature=options.temperature,
-                         gmin=options.gmin, variables=options.variables, op=op,
-                         backend=options.backend)
-        response = ac.waveform(node_name).magnitude()
-        response.name = f"|Z({node_name})|"
-        return response
-
-    def refiner(_node: str, center_hz: float, span_decades: float,
-                points_per_decade: int) -> Waveform:
-        half_span = 10.0 ** (span_decades / 2.0)
-        fine = FrequencySweep(frequencies=log_sweep(center_hz / half_span,
-                                                    center_hz * half_span,
-                                                    points_per_decade))
-        return sweep_response(fine)
-
-    response = sweep_response(sweep)
-    return build_node_result(node_name, response, options, op=op, refiner=refiner)
+    ac = ac_analysis(excited, sweep, temperature=options.temperature,
+                     gmin=options.gmin, variables=options.variables, op=op,
+                     backend=options.backend)
+    response = ac.waveform(node_name).magnitude()
+    response.name = f"|Z({node_name})|"
+    sweeper = None
+    if options.refine and options.zero_existing_ac:
+        sweeper = ImpedanceSweeper(circuit, temperature=options.temperature,
+                                   gmin=options.gmin,
+                                   variables=options.variables, op=op,
+                                   backend=options.backend, compiled=compiled)
+    (result,) = build_node_results(sweeper, sweep.frequencies, [
+        (0, node_name, options, op, response, None, None)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def analyze_node_batch(circuit: Circuit, node: str,
@@ -342,11 +356,11 @@ def analyze_node_batch(circuit: Circuit, node: str,
     ``lin`` carries the whole group's small-signal planes
     (:func:`repro.analysis.compiled.linearize_batch`), ``options_rows`` and
     ``ops`` one entry per sample.  The coarse sweep becomes a single
-    ``(N, 1, F)`` impedance-cube solve; only the per-sample refinement
-    windows (whose frequencies depend on each sample's own dominant peak)
-    run scalar.  The response is reconstructed as ``|Z| * amplitude`` —
-    the node voltage under the injected current — which matches the scalar
-    path's AC analysis of the excited circuit to solver tolerance.
+    ``(N, 1, F)`` impedance-cube solve and every sample's dominant peak is
+    refined in one lockstep search (:func:`build_node_results`).  The
+    response is reconstructed as ``|Z| * amplitude`` — the node voltage
+    under the injected current — which matches the scalar path's AC
+    analysis of the excited circuit to solver tolerance.
 
     Returns one :class:`NodeStabilityResult` per sample; samples whose
     linearization or AC solve failed yield their ``Exception`` instead
@@ -369,73 +383,93 @@ def analyze_node_batch(circuit: Circuit, node: str,
 
     options0 = options_rows[0]
     node_name = circuit.resolve_node(node)
-    sweep = FrequencySweep.coerce(options0.sweep)
-    freq = sweep.frequencies
+    freq = np.array(FrequencySweep.coerce(options0.sweep).frequencies)
     sweeper = BatchImpedanceSweeper(lin, backend=options0.backend)
     cube, failures = sweeper.impedance_cube([node_name], freq)
+    rows = [(k, node_name, options_rows[k], ops[k],
+             Waveform(freq,
+                      np.abs(cube[k, 0]) * options_rows[k].stimulus_amplitude,
+                      name=f"|Z({node_name})|", x_unit="Hz", y_unit="V"),
+             None, None)
+            for k in range(n_samples) if k not in failures]
+    built = iter(build_node_results(sweeper, freq, rows))
+    return [failures[k] if k in failures else next(built)
+            for k in range(n_samples)]
 
-    outputs: List[Union[NodeStabilityResult, Exception]] = []
-    for k in range(n_samples):
-        if k in failures:
-            outputs.append(failures[k])
+
+def refine_dominant_peaks(sweeper, frequencies: Sequence[float],
+                          wants: Sequence[tuple]) -> List[tuple]:
+    """The exact eq. 1.3 minimum near each ``(sample, node, coarse_peak)``
+    of ``wants`` — a dominant peak over ``frequencies`` of a node of a
+    sample of ``sweeper`` — searched in lockstep
+    (:func:`~repro.core.stability_plot.bracketed_minima`).
+
+    Returns ``(refined_plot, refined_peak, fallback)`` per entry: P at
+    the evaluated frequencies, sorted (``None`` below two points), a
+    ``NORMAL`` peak — ``MIN_MAX`` with its companion if the coarse peak
+    was one — and ``None``.  A fallback keeps the coarse peak, names its
+    reason and counts ``core.refine.fallbacks.<reason>``.
+    """
+    if not wants:
+        return []
+    grid = np.log(np.asarray(frequencies, dtype=float))
+    steps = np.gradient(grid) if len(grid) > 1 else np.ones(1)
+    samples = np.array([want[0] for want in wants], dtype=np.intp)
+    unknowns = np.array([sweeper.compiled.index_of(want[1]) for want in wants],
+                        dtype=np.intp)
+    indices = np.array([want[2].index for want in wants], dtype=np.intp)
+
+    def evaluate(subset: np.ndarray, u: np.ndarray) -> tuple:
+        s = (2j * np.pi) * np.exp(u)
+        T, dT, d2T, singular = sweeper.driving_point_derivatives(
+            samples[subset], unknowns[subset], s)
+        with np.errstate(all="ignore"):
+            return closed_form_plot(s, T, dT, d2T), singular
+
+    # The pole pairs of every peak's sample, as (peak, ln f_n, zeta).
+    pairs = {}
+    for sample in set(samples.tolist()):
+        poles = sweeper.poles(sample)
+        pairs[sample] = poles[poles.imag > 0]
+    seeds = [pairs[sample] for sample in samples.tolist()]
+    poles = np.concatenate(seeds)
+    resonances = np.column_stack([
+        np.repeat(np.arange(len(wants)), [len(seed) for seed in seeds]),
+        np.log(np.abs(poles) / (2 * np.pi)), -poles.real / np.abs(poles)])
+    with _span("core.refine", peaks=len(wants)) as span:
+        u_min, p_min, points, values, reasons = bracketed_minima(
+            evaluate, grid[indices], BRACKET_STEPS * steps[indices],
+            resonances)
+        evaluations = int(np.count_nonzero(~np.isnan(points)))
+        span.set(evaluations=evaluations)
+    registry = global_registry()
+    registry.counter("core.refine.evaluations").inc(evaluations)
+
+    # Each bracket's evaluations in frequency order, without the NaN
+    # padding (sorted last) and repeated points.
+    order = np.argsort(points, axis=1)
+    points = np.take_along_axis(points, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    keep = (np.diff(points, axis=1, prepend=-np.inf) > 0) & np.isfinite(values)
+    counts = np.count_nonzero(keep, axis=1)
+    splits = np.cumsum(counts)[:-1]
+    plot_x = np.split(np.exp(points[keep]), splits)
+    plot_y = np.split(values[keep], splits)
+    positions = np.count_nonzero(keep & (points < u_min[:, None]), axis=1)
+    refined: List[tuple] = []
+    for p, ((_, node, coarse), reason) in enumerate(zip(wants, reasons)):
+        plot = (Waveform(plot_x[p], plot_y[p], name=f"stability(|Z({node})|)",
+                         x_unit="Hz", y_unit="") if counts[p] > 1 else None)
+        if reason is not None:
+            registry.counter(f"core.refine.fallbacks.{reason}").inc()
+            refined.append((plot, coarse, reason))
             continue
-        options = options_rows[k]
-        amplitude = options.stimulus_amplitude
-
-        def refiner(_node: str, center_hz: float, span_decades: float,
-                    points_per_decade: int, _k: int = k,
-                    _amplitude: float = amplitude) -> Waveform:
-            half_span = 10.0 ** (span_decades / 2.0)
-            window = log_sweep(center_hz / half_span, center_hz * half_span,
-                               points_per_decade)
-            raw = sweeper.sample_impedances(_k, [node_name], window)
-            return Waveform(window, np.abs(raw[node_name]) * _amplitude,
-                            name=f"|Z({node_name})|", x_unit="Hz", y_unit="V")
-
-        response = Waveform(np.array(freq, dtype=float),
-                            np.abs(cube[k, 0]) * amplitude,
-                            name=f"|Z({node_name})|", x_unit="Hz", y_unit="V")
-        try:
-            outputs.append(build_node_result(node_name, response, options,
-                                             op=ops[k], refiner=refiner))
-        except Exception as exc:
-            outputs.append(exc)
-    return outputs
-
-
-def _refine_peak(fine_response: Waveform, coarse_peak: StabilityPeak,
-                 options: SingleNodeOptions):
-    """Re-compute the stability plot on the dense window and re-locate the peak.
-
-    Returns (refined_plot, refined_peak); falls back to the coarse peak if
-    the refined sweep fails to show a negative peak (which can happen for
-    very shallow features at the detection threshold).
-    """
-    plot = stability_plot(fine_response, method=options.plot_method)
-    peaks = find_peaks(plot, threshold=options.peak_threshold)
-    return plot, _pick_refined_peak(peaks, coarse_peak)
-
-
-def _pick_refined_peak(peaks: List[StabilityPeak],
-                       coarse_peak: StabilityPeak) -> StabilityPeak:
-    """Select the refined peak among a dense window's ``peaks``.
-
-    The selection shared by the scalar refiner and the batched grid
-    refinement: falls back to the coarse peak if the window shows no
-    negative peak (very shallow features at the detection threshold).
-    """
-    center = coarse_peak.frequency_hz
-    negative = [p for p in peaks if p.is_negative]
-    if not negative:
-        return coarse_peak
-    # Keep the refined peak closest (in log frequency) to the coarse one;
-    # the dense window may reveal additional nearby structure.
-    refined = min(negative, key=lambda p: abs(math.log10(p.frequency_hz / center)))
-    # Preserve the special-case classification of the coarse scan when the
-    # refined peak looks NORMAL only because the window is narrow.
-    if coarse_peak.peak_type is PeakType.MIN_MAX and refined.peak_type is PeakType.NORMAL:
-        refined = StabilityPeak(frequency_hz=refined.frequency_hz, value=refined.value,
-                                peak_type=PeakType.MIN_MAX, index=refined.index,
-                                prominence=refined.prominence,
-                                companion_frequency_hz=coarse_peak.companion_frequency_hz)
+        min_max = coarse.peak_type is PeakType.MIN_MAX
+        refined.append((plot, StabilityPeak(
+            frequency_hz=float(np.exp(u_min[p])), value=float(p_min[p]),
+            peak_type=PeakType.MIN_MAX if min_max else PeakType.NORMAL,
+            index=int(positions[p]),
+            prominence=coarse.prominence + coarse.value - float(p_min[p]),
+            companion_frequency_hz=(coarse.companion_frequency_hz
+                                    if min_max else None)), None))
     return refined

@@ -52,7 +52,9 @@ __all__ = ["AnalysisRequest", "AnalysisResponse", "STABILITY_MODES",
 #:     building blocks the engine's in-process fast path groups on).
 #: v5: the payload ``detail`` joined the fingerprint; stability results
 #:     are compact (no plot arrays) unless ``detail="plots"``.
-REQUEST_SCHEMA_VERSION = 5
+#: v6: dominant peaks are the closed-form minima of eq. 1.3 instead of a
+#:     resampled window's (fn and the performance index move up to ~0.4 %).
+REQUEST_SCHEMA_VERSION = 6
 
 _MODES = ("all-nodes", "single-node", "dc-sweep", "op", "ac")
 #: Payload detail of stability results: "verdict" (peaks, verdicts,

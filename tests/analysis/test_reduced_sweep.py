@@ -292,7 +292,7 @@ class TestSingularSamples:
 
 #: Loops whose stability-plot estimate misses the nearest complex pole
 #: pair by more than 3 % in natural frequency or 5 % in damping ratio.
-#: The bias loops (about 0.45 damping) sit 3.2-4.7 % below the pole
+#: The bias loops (about 0.45 damping) sit 3.0-4.5 % below the pole
 #: pair's natural frequency; the source follower's damping ratio is 6 %
 #: high.  The cross-check exists to surface exactly these.
 KNOWN_MISMATCHES = {

@@ -107,6 +107,6 @@ class TestEdgeCases:
         sweeper = ImpedanceSweeper(design.circuit)
         response = sweeper.impedance_waveforms([design.node], sweep.frequencies)[design.node]
         result = build_node_result(design.node, response.magnitude(),
-                                   SingleNodeOptions(sweep=sweep), refiner=None)
+                                   SingleNodeOptions(sweep=sweep))
         assert result.damping_ratio == pytest.approx(0.3, rel=0.1)
         assert result.refined_plot is None

@@ -99,3 +99,42 @@ class TestStats:
         assert cache.stats.hit_rate == pytest.approx(0.5)
         data = cache.stats.as_dict()
         assert data["hits"] == 1 and data["hit_rate"] == pytest.approx(0.5)
+
+
+TANK_NETLIST = """tank standard
+R1 tank 0 1k
+L1 tank 0 1m
+C1 tank 0 1n
+Vref vref 0 DC 1 AC 1
+Rtie vref tank 1G
+.end
+"""
+
+
+class TestSchemaInvalidation:
+    def test_schema_5_disk_entry_misses(self, tmp_path, monkeypatch):
+        # Schema 6 moved every refined peak onto the closed-form minimum
+        # of eq. 1.3, so a schema-5 verdict on disk must never be served.
+        from repro.service import requests as requests_module
+        from repro.service import AnalysisRequest, StabilityService
+
+        with monkeypatch.context() as patch:
+            patch.setattr(requests_module, "REQUEST_SCHEMA_VERSION", 5)
+            old_key = AnalysisRequest(mode="all-nodes",
+                                      netlist=TANK_NETLIST).fingerprint()
+        service = StabilityService(cache_directory=str(tmp_path),
+                                   backend="serial")
+        try:
+            request = AnalysisRequest(mode="all-nodes", netlist=TANK_NETLIST)
+            assert request.fingerprint() != old_key
+            stale = service.submit(request).to_dict()
+            stale["result"]["results"][0]["performance_index"] = -99.0
+            service.cache.clear()
+            ResultCache(str(tmp_path)).put(old_key, stale)
+            assert service.cache.disk_entries() == 1
+            fresh = service.submit(AnalysisRequest(mode="all-nodes",
+                                                   netlist=TANK_NETLIST))
+            assert fresh.ok and not fresh.cached
+            assert fresh.result["results"][0]["performance_index"] != -99.0
+        finally:
+            service.close()
